@@ -8,7 +8,7 @@ registered attack family on the seeded corpus cells of
 - oracle query counts (deterministic given seeds — drift here is a
   *correctness* regression, and the benchmark hard-fails on it),
 
-plus three ratios consumed by the ``bench_compare.py`` regression gate:
+plus two ratios consumed by the ``bench_compare.py`` regression gate:
 
 - ``engine_overhead_speedup`` — direct ``sat_attack(...)`` call time
   over engine ``run_attack("sat", ...)`` time. Both run the identical
@@ -19,9 +19,13 @@ plus three ratios consumed by the ``bench_compare.py`` regression gate:
   functional analyses beat the SAT attack on SFLL) as a number;
   *informational*, it compares different algorithms whose relative
   cost legitimately shifts with solver heuristics.
-- ``portfolio_parallel_speedup`` — sequential portfolio over
-  ``jobs=2`` racing portfolio on the SARLock cell; parallelism-
-  dependent (≤1x on a single-core host), therefore *informational*.
+
+It also times the ``["sat", "appsat"]`` portfolio on the SARLock cell
+run sequentially (``jobs=1``) and raced on two workers (``jobs=2``),
+and records the raced winner. The two runs are not divided: the
+sequential run returns the SAT attack's exact key, while the raced run
+is usually won by AppSAT's approximate key, so their quotient would
+not be a parallel speedup.
 
 Run ``PYTHONPATH=src python benchmarks/bench_attacks.py`` from the repo
 root; results go to ``benchmarks/BENCH_attacks.json`` (or ``--output``)
@@ -150,9 +154,10 @@ def bench_attack_throughput() -> dict:
     fall_seconds = per_attack["fall"]["cells"]["rand14/sfll_hd1"]["seconds"]
     sat_seconds = per_attack["sat"]["cells"]["rand14/sfll_hd1"]["seconds"]
 
-    # Portfolio: sequential vs 2-worker racing on the SARLock cell
-    # (where racing pays: fall fails fast, appsat escapes early, the
-    # SAT attack grinds 2^k queries until cancelled).
+    # Portfolio: sequential and 2-worker racing on the SARLock cell
+    # (appsat escapes early, the SAT attack grinds 2^k queries until
+    # cancelled). The runs can return different attacks' keys, so only
+    # their timings are recorded, not a ratio.
     label, sar_original, sar_locked, _ = [
         c for c in cells if c[0] == "rand10/sarlock"
     ][0]
@@ -185,10 +190,6 @@ def bench_attack_throughput() -> dict:
         "fall_vs_sat_speedup": round(sat_seconds / fall_seconds, 4),
         "portfolio_sequential_seconds": round(sequential_seconds, 6),
         "portfolio_parallel_seconds": round(parallel_seconds, 6),
-        # Informational: scales with the host's core count.
-        "portfolio_parallel_speedup": round(
-            sequential_seconds / parallel_seconds, 4
-        ),
         "portfolio_winner": parallel_result.details["portfolio"]["winner"],
         "failures": failures,
     }
@@ -225,9 +226,10 @@ def main(argv=None) -> int:
         f"{suite['fall_vs_sat_speedup']:.2f}x (informational)"
     )
     print(
-        f"  portfolio parallel speedup (sarlock):    "
-        f"{suite['portfolio_parallel_speedup']:.2f}x (informational, "
-        f"winner={suite['portfolio_winner']})"
+        f"  portfolio on sarlock: jobs=1 "
+        f"{suite['portfolio_sequential_seconds']:.2f} s, jobs=2 "
+        f"{suite['portfolio_parallel_seconds']:.2f} s "
+        f"(winner={suite['portfolio_winner']})"
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")

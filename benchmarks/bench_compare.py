@@ -9,22 +9,11 @@ Only *ratios* are compared — a speedup divides two timings taken on the
 same machine in the same process, so absolute machine speed cancels and
 the gate transfers between the committed baseline's machine and a CI
 runner. That cancellation only holds when numerator and denominator run
-the *same implementation* on the *same resources*:
-
-- cross-implementation ratios (CPython bigints vs numpy SIMD —
-  ``sliced_numpy_speedup``, ``numpy_popcount_speedup``) legitimately
-  vary with CPU, numpy build and Python version;
-- cross-parallelism ratios (single-process vs process-sharded —
-  ``sharded_outputs_speedup``, ``sharded_popcount_speedup``) scale with
-  the host's core count, which does not cancel between the baseline
-  machine and a CI runner (``bench_simulate.py`` itself warns — without
-  failing — when a multi-core host misses the sharded speedup target,
-  and hard-fails only on lost bit-exactness).
-
-Both groups are reported as informational and never failed. Ratios
-present in the baseline but absent from the fresh report (for example
-the numpy entries on the no-numpy CI leg) are skipped and listed, never
-failed.
+the *same algorithm*: a cross-algorithm ratio (FALL vs the SAT attack
+— ``fall_vs_sat_speedup``) legitimately shifts with solver heuristics,
+so it is reported as informational and never failed. Ratios present
+in the baseline but absent from the fresh report are skipped and
+listed, never failed.
 
 Usage (CI runs exactly this, once per benchmark report)::
 
@@ -36,8 +25,8 @@ Usage (CI runs exactly this, once per benchmark report)::
 Any report whose suites carry ``*speedup`` keys participates; the
 attack-throughput suite (``bench_attacks.py``) gates its
 ``engine_overhead_speedup`` (same workload, same core — the unified
-engine must stay out of the hot path) while its cross-algorithm and
-parallelism-dependent ratios are informational.
+engine must stay out of the hot path) while its cross-algorithm ratio
+is informational.
 """
 
 from __future__ import annotations
@@ -49,22 +38,10 @@ from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.30
 
-# Ratios whose numerator and denominator run different implementations
-# (CPython bigint kernel vs numpy SIMD), different algorithms (FALL vs
-# the SAT attack), or different degrees of parallelism (single process
-# vs the sharded worker pool / the racing portfolio): machine speed /
-# core count does not cancel, so they are reported but never gate the
-# build.
-INFORMATIONAL_RATIOS = frozenset(
-    {
-        "sliced_numpy_speedup",
-        "numpy_popcount_speedup",
-        "sharded_outputs_speedup",
-        "sharded_popcount_speedup",
-        "fall_vs_sat_speedup",
-        "portfolio_parallel_speedup",
-    }
-)
+# Ratios whose numerator and denominator run different algorithms (FALL
+# vs the SAT attack): solver heuristics do not cancel, so they are
+# reported but never gate the build.
+INFORMATIONAL_RATIOS = frozenset({"fall_vs_sat_speedup"})
 
 
 def tracked_ratios(report: dict) -> dict[tuple[str, str], float]:

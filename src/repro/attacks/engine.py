@@ -19,8 +19,8 @@ family functions it provides:
   populated from the locked netlist.
 
 :func:`run_portfolio` races several registered attacks on one benchmark
-across the persistent worker pool shared with the sharded simulation
-layer (:mod:`repro.circuit.sharding`). The first conclusive (SUCCESS)
+across the persistent worker pool (:mod:`repro.circuit.sharding`),
+which the suite runner shares. The first conclusive (SUCCESS)
 finisher sets a cross-process cancellation event; the other racers
 observe it through their cooperative budgets and stop at their next
 budget check. The reported winner is deterministic given seeds: among
@@ -32,7 +32,6 @@ degenerates to an in-order sequential run with early exit.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -45,7 +44,6 @@ from repro.attacks.registry import get_attack
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import (
-    ENV_JOBS,
     circuit_fingerprint,
     circuit_from_spec,
     circuit_spec,
@@ -129,9 +127,8 @@ def run_attack(
         )
 
     run_config = replace(config, telemetry=telemetry)
-    with _jobs_env(config.jobs):
-        with telemetry.stage("run", attack=attack.name):
-            result = attack.run(locked, run_oracle, run_config)
+    with telemetry.stage("run", attack=attack.name):
+        result = attack.run(locked, run_oracle, run_config)
     telemetry.set_counter("oracle_queries", result.oracle_queries)
 
     if not result.key_names:
@@ -159,33 +156,6 @@ def run_attack(
         else:
             checkpoint_oracle.finalize(result)
     return result
-
-
-class _jobs_env:
-    """Scoped publication of ``config.jobs`` to ``REPRO_SIM_JOBS``.
-
-    The sharded sweep layer and the suite runner both read the
-    environment, so one scoped assignment covers every downstream
-    consumer without threading ``jobs=`` through eight signatures; the
-    prior value is restored on exit so nothing leaks across calls.
-    """
-
-    def __init__(self, jobs):
-        self._jobs = jobs
-        self._previous: str | None = None
-
-    def __enter__(self):
-        if self._jobs is not None:
-            self._previous = os.environ.get(ENV_JOBS)
-            os.environ[ENV_JOBS] = str(self._jobs)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._jobs is not None:
-            if self._previous is None:
-                os.environ.pop(ENV_JOBS, None)
-            else:
-                os.environ[ENV_JOBS] = self._previous
 
 
 # ----------------------------------------------------------------------
@@ -286,13 +256,13 @@ def run_portfolio(
     requested order) is returned so callers always get the best
     available outcome.
 
-    ``jobs`` resolves like the sharded sweep layer (argument, then
-    ``REPRO_SIM_JOBS``, then auto). With one worker the attacks run
-    sequentially in the requested order and the race stops at the first
-    conclusive result — the fully deterministic mode; with more workers
-    the same winner is reported whenever the racers' own outcomes are
-    deterministic, because winner selection prefers requested order
-    over completion order.
+    ``jobs`` resolves like the suite runner's (argument, then
+    ``config.jobs``, then ``REPRO_SIM_JOBS``, then auto). With one
+    worker the attacks run sequentially in the requested order and the
+    race stops at the first conclusive result — the fully deterministic
+    mode; with more workers the same winner is reported whenever the
+    racers' own outcomes are deterministic, because winner selection
+    prefers requested order over completion order.
     """
     names = list(names)
     if not names:

@@ -16,15 +16,8 @@ from repro.circuit.analysis import (
     extract_cone,
     circuit_depth,
 )
-from repro.circuit.backends import (
-    available_backends,
-    numpy_available,
-    resolve_backend,
-)
 from repro.circuit.compiled import CompiledCircuit, compile_circuit
 from repro.circuit.sharding import (
-    ShardPlan,
-    plan_sweep,
     resolve_jobs,
     sweep_node_values,
     sweep_outputs,
@@ -46,7 +39,6 @@ from repro.circuit.equivalence import (
     check_outputs_equal,
 )
 from repro.circuit.aig import Aig
-from repro.circuit.bdd import Bdd, bdd_from_circuit
 from repro.circuit.opt import optimize, sweep
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.library import c17, paper_example_circuit
@@ -55,7 +47,6 @@ from repro.circuit.sequential import (
     combinational_view,
     parse_bench_sequential,
 )
-from repro.circuit.verilog import parse_verilog, write_verilog
 
 __all__ = [
     "GateType",
@@ -66,16 +57,11 @@ __all__ = [
     "circuit_depth",
     "CompiledCircuit",
     "compile_circuit",
-    "ShardPlan",
-    "plan_sweep",
     "resolve_jobs",
     "sweep_node_values",
     "sweep_outputs",
     "sweep_popcounts",
     "sweep_truth_table",
-    "available_backends",
-    "numpy_available",
-    "resolve_backend",
     "simulate",
     "simulate_interpreted",
     "simulate_pattern",
@@ -89,8 +75,6 @@ __all__ = [
     "check_equivalence",
     "check_outputs_equal",
     "Aig",
-    "Bdd",
-    "bdd_from_circuit",
     "optimize",
     "sweep",
     "generate_random_circuit",
@@ -99,6 +83,4 @@ __all__ = [
     "SequentialCircuit",
     "combinational_view",
     "parse_bench_sequential",
-    "parse_verilog",
-    "write_verilog",
 ]

@@ -38,8 +38,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         default=None,
         metavar="N",
-        help="worker processes for sharded simulation sweeps and "
-             "parallel suite runs: a positive integer or 'auto' "
+        help="worker processes for parallel suite runs and attack "
+             "portfolios: a positive integer or 'auto' "
              "(default: the REPRO_SIM_JOBS environment variable, then "
              "'auto' = all usable CPU cores)",
     )
@@ -53,9 +53,9 @@ def _jobs_scope(
 
     Validation covers both the ``--jobs`` flag and an inherited
     ``REPRO_SIM_JOBS`` value, so a typo fails fast with a usage error
-    instead of surfacing mid-attack from the sweep layer. The sweep
-    layer and suite runner both read the environment, so one assignment
-    covers every downstream consumer — and it is scoped to this
+    instead of surfacing mid-run. The suite runner and the portfolio
+    racer both read the environment, so one assignment covers every
+    downstream consumer — and it is scoped to this
     invocation (the prior value is restored on exit), so one command's
     ``--jobs`` never leaks into later in-process calls.
     """
@@ -291,10 +291,10 @@ def main_experiments(argv: list[str] | None = None) -> int:
 
     from repro.experiments import fig5, fig6, summary, table1
 
-    # Every artifact picks the worker count up from REPRO_SIM_JOBS
-    # (published for this invocation when --jobs was given); the summary
-    # sweep additionally parallelizes across its (circuit × h) grid
-    # cells.
+    # The summary sweep picks its worker count up from REPRO_SIM_JOBS
+    # (published for this invocation when --jobs was given) and runs
+    # its (circuit × h) grid cells in parallel; the other artifacts run
+    # in this process.
     mains = {
         "table1": table1.main,
         "fig5": fig5.main,

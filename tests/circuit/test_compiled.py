@@ -7,13 +7,21 @@ structural mutation invalidates every cached artifact.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from repro.attacks.oracle import IOOracle
 from repro.circuit.circuit import Circuit
 from repro.circuit.compiled import (
     CompiledCircuit,
     canonical_input_words,
     compile_circuit,
+    pack_patterns,
 )
 from repro.circuit.gates import GateType
 from repro.circuit.library import c17, paper_example_circuit
@@ -58,6 +66,63 @@ class TestEquivalenceWithInterpreter:
             ), f"sliced mismatch on seed {seed}"
             checked += 1
         assert checked >= 100
+
+    def test_scalar_and_sliced_paths_match_on_100_circuits(self):
+        """Per-pattern ``eval_outputs`` calls and one bit-sliced pass
+        agree with the interpreter at a width spanning two 64-bit words.
+        """
+        rng = make_rng(13)
+        width = 96
+        checked = 0
+        for seed in range(102):
+            num_inputs = 2 + seed % 9
+            circuit = generate_random_circuit(
+                f"bk{seed}",
+                num_inputs,
+                1 + seed % 4,
+                num_inputs + 8 + seed % 37,
+                seed=1000 + seed,
+            )
+            values = {
+                name: rng.getrandbits(width) for name in circuit.inputs
+            }
+            reference = _packed_reference(circuit, values, width)
+            engine = compile_circuit(circuit)
+            assert (
+                engine.eval_outputs_sliced(values, width=width) == reference
+            ), f"sliced mismatch on seed {seed}"
+            assert (
+                _scalar_compiled_outputs(engine, circuit, values, width)
+                == reference
+            ), f"scalar-compiled mismatch on seed {seed}"
+            checked += 1
+        assert checked >= 100
+
+    def test_sliced_engine_matches_interpreter_at_width_200(self):
+        rng = make_rng(5)
+        width = 200
+        for seed in range(10):
+            circuit = generate_random_circuit(
+                f"fb{seed}", 6, 3, 40, seed=2000 + seed
+            )
+            values = {
+                name: rng.getrandbits(width) for name in circuit.inputs
+            }
+            assert compile_circuit(circuit).eval_outputs_sliced(
+                values, width=width
+            ) == _packed_reference(circuit, values, width)
+
+    def test_oversized_input_words_are_masked(self):
+        """Words wider than the evaluated width truncate to it."""
+        circuit = generate_random_circuit("ovs", 5, 2, 30, seed=91)
+        width = 65
+        values = {
+            name: ((1 << 130) | (7 << i))
+            for i, name in enumerate(circuit.inputs)
+        }
+        assert compile_circuit(circuit).eval_outputs_sliced(
+            values, width=width
+        ) == _packed_reference(circuit, values, width)
 
     def test_targets_region_matches_interpreter(self):
         circuit = c17()
@@ -292,3 +357,148 @@ class TestConeTruthTable:
                 assignment[name] = (pattern >> i) & 1
             scalar = simulate_pattern(circuit, assignment)
             assert (table >> pattern) & 1 == scalar[node]
+
+
+def _packed_reference(circuit, values, width):
+    reference = simulate_interpreted(circuit, values, width=width)
+    return tuple(reference[name] for name in circuit.outputs)
+
+
+def _scalar_compiled_outputs(engine, circuit, values, width):
+    """Per-pattern eval_outputs calls, reassembled into packed words."""
+    packed = [0] * len(circuit.outputs)
+    for j in range(width):
+        row = {name: (word >> j) & 1 for name, word in values.items()}
+        for position, bit in enumerate(engine.eval_outputs(row, width=1)):
+            packed[position] |= bit << j
+    return tuple(packed)
+
+
+class TestSlicedInputForms:
+    def test_packed_rows_and_dicts_agree(self):
+        circuit = generate_random_circuit("forms", 8, 3, 60, seed=21)
+        rng = make_rng(2)
+        patterns = 77
+        dict_rows = [
+            {name: rng.getrandbits(1) for name in circuit.inputs}
+            for _ in range(patterns)
+        ]
+        bit_rows = [
+            [row[name] for name in circuit.inputs] for row in dict_rows
+        ]
+        packed = pack_patterns(circuit.inputs, dict_rows)
+        engine = compile_circuit(circuit)
+        from_packed = engine.eval_outputs_sliced(packed, width=patterns)
+        assert engine.eval_outputs_sliced(dict_rows) == from_packed
+        assert engine.eval_outputs_sliced(bit_rows) == from_packed
+
+    def test_packed_mapping_requires_width(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="width is required"):
+            engine.eval_outputs_sliced({name: 1 for name in engine.input_names})
+
+    def test_row_count_width_mismatch_rejected(self):
+        engine = compile_circuit(c17())
+        rows = [{name: 0 for name in engine.input_names}] * 3
+        with pytest.raises(CircuitError, match="does not match"):
+            engine.eval_outputs_sliced(rows, width=4)
+
+    def test_empty_patterns_rejected(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="at least one pattern"):
+            engine.eval_outputs_sliced([])
+
+    def test_node_values_sliced_matches_simulate(self):
+        circuit = generate_random_circuit("nvs", 6, 2, 50, seed=31)
+        engine = compile_circuit(circuit)
+        rng = make_rng(4)
+        width = 130
+        values = {name: rng.getrandbits(width) for name in circuit.inputs}
+        full = simulate_interpreted(circuit, values, width=width)
+        nodes = tuple(circuit.gates[:5])
+        assert engine.node_values_sliced(nodes, values, width=width) == tuple(
+            full[n] for n in nodes
+        )
+
+
+class TestPopcounts:
+    def test_node_popcounts_match_simulation(self):
+        circuit = generate_random_circuit("pc", 9, 4, 90, seed=41)
+        rng = make_rng(6)
+        width = 300
+        values = {name: rng.getrandbits(width) for name in circuit.inputs}
+        reference = simulate_interpreted(circuit, values, width=width)
+        counts = compile_circuit(circuit).node_popcounts(values, width)
+        assert counts == {
+            node: word.bit_count() for node, word in reference.items()
+        }
+
+    def test_bad_width_rejected(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="width must be"):
+            engine.node_popcounts({}, 0)
+
+
+class TestOracleSliced:
+    def test_query_sliced_matches_query_batch(self):
+        circuit = generate_random_circuit("orc", 7, 3, 60, seed=51)
+        oracle = IOOracle(circuit)
+        rng = make_rng(12)
+        patterns = [
+            {name: rng.getrandbits(1) for name in oracle.input_names}
+            for _ in range(33)
+        ]
+        rows = oracle.query_batch(patterns)
+        before = oracle.query_count
+        words = oracle.query_sliced(patterns)
+        assert oracle.query_count == before + len(patterns)
+        for j, row in enumerate(rows):
+            assert tuple(
+                (word >> j) & 1 for word in words
+            ) == tuple(row[name] for name in oracle.output_names)
+
+    def test_query_sliced_empty(self):
+        oracle = IOOracle(c17())
+        assert oracle.query_sliced([]) == tuple(
+            0 for _ in oracle.output_names
+        )
+
+
+_NUMPY_GUARD = textwrap.dedent(
+    """
+    import sys
+
+    import repro.attacks
+    from repro.attacks.base import AttackConfig
+    from repro.attacks.engine import run_attack
+    from repro.attacks.oracle import IOOracle
+    from repro.circuit.random_circuits import generate_random_circuit
+    from repro.locking import lock_sfll_hd
+
+    original = generate_random_circuit("guard", 10, 3, 60, seed=3)
+    locked = lock_sfll_hd(original, h=1, key_width=8, seed=5)
+    result = run_attack("fall", locked.circuit, None, AttackConfig(h=1))
+    assert result.key is not None or result.candidates, result.summary()
+    oracle = IOOracle(original)
+    rows = oracle.query_batch(
+        [{name: (j >> i) & 1 for i, name in enumerate(oracle.input_names)}
+         for j in range(64)]
+    )
+    assert len(rows) == 64
+    assert "numpy" not in sys.modules, "numpy was imported"
+    """
+)
+
+
+def test_attacks_and_oracle_never_import_numpy():
+    """The simulation engine is pure Python: a FALL attack and a batched
+    oracle query leave numpy unimported."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _NUMPY_GUARD],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -1,30 +1,26 @@
-"""Tests for the process-sharded sweep layer.
+"""Tests for :mod:`repro.circuit.sharding`.
 
-The load-bearing guarantee mirrors the backend tests one level up:
-sharded sweep results — any worker count, both backends, forced chunk
-boundaries including ragged final chunks — are bit-exact with the
-single-process sliced path and the interpreted reference, and the plan
-layer never spins the pool up for sweeps below the crossover threshold.
+Covers jobs parsing, circuit-spec round trips, the persistent process
+pool behind ``map_in_processes`` (lifecycle, broken-pool recovery, the
+daemonic-caller guard) and the sweep entry points, which must agree
+with the compiled engine and the interpreted reference without ever
+touching the pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.circuit import sharding
-from repro.circuit.backends import NumpyWordBackend, numpy_available
 from repro.circuit.compiled import compile_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.sharding import (
-    ShardPlan,
     circuit_from_spec,
     circuit_spec,
     parse_jobs,
-    plan_sweep,
     resolve_jobs,
     sweep_node_values,
     sweep_outputs,
@@ -34,11 +30,6 @@ from repro.circuit.sharding import (
 from repro.circuit.simulate import simulate_interpreted
 from repro.errors import CircuitError
 from repro.utils.rng import make_rng
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
-)
-
 
 @pytest.fixture
 def fresh_pool():
@@ -83,52 +74,6 @@ class TestJobsParsing:
             resolve_jobs()
 
 
-class TestShardPlan:
-    def test_sub_threshold_stays_single_process(self):
-        plan = plan_sweep(sharding.SHARD_THRESHOLD - 1, jobs=8)
-        assert plan == ShardPlan(
-            jobs=1,
-            chunk_width=sharding.SHARD_THRESHOLD - 1,
-            width=sharding.SHARD_THRESHOLD - 1,
-        )
-        assert not plan.use_pool
-
-    def test_jobs_one_never_shards(self):
-        plan = plan_sweep(1 << 20, jobs=1)
-        assert plan.jobs == 1 and not plan.use_pool
-
-    def test_above_threshold_shards_and_aligns(self):
-        width = 1 << 17
-        plan = plan_sweep(width, jobs=4)
-        assert plan.use_pool and plan.jobs == 4
-        assert plan.chunk_width % 64 == 0
-        chunks = plan.chunks()
-        assert sum(size for _, size in chunks) == width
-        assert [offset for offset, _ in chunks] == sorted(
-            offset for offset, _ in chunks
-        )
-
-    def test_ragged_final_chunk(self):
-        plan = plan_sweep(1000, jobs=3, chunk_width=300, threshold=1)
-        assert plan.chunks() == [
-            (0, 300), (300, 300), (600, 300), (900, 100)
-        ]
-
-    def test_never_more_jobs_than_chunks(self):
-        plan = plan_sweep(1 << 16, jobs=64)
-        assert plan.jobs <= len(plan.chunks())
-
-    def test_chunks_never_smaller_than_floor(self):
-        plan = plan_sweep(sharding.SHARD_THRESHOLD, jobs=64)
-        assert plan.chunk_width >= sharding.MIN_CHUNK_WIDTH
-
-    def test_bad_width_and_chunk_rejected(self):
-        with pytest.raises(CircuitError, match="width must be"):
-            plan_sweep(0)
-        with pytest.raises(CircuitError, match="chunk_width must be"):
-            plan_sweep(1 << 17, jobs=2, chunk_width=0)
-
-
 class TestCircuitSpecRoundTrip:
     def test_spec_rebuilds_identical_circuit(self):
         circuit = generate_random_circuit("spec", 8, 3, 60, seed=9)
@@ -156,143 +101,79 @@ def _packed_reference(circuit, values, width):
     return tuple(reference[name] for name in circuit.outputs)
 
 
-class TestShardedDifferential:
-    def test_100_random_circuits_sharded_bit_for_bit(self, fresh_pool):
-        """Sharded == single-process sliced == interpreted on 100+ circuits.
+class TestSweepEntryPoints:
+    """Each sweep equals its compiled-engine call and the interpreter."""
 
-        Worker counts alternate between 2 and 3, chunk widths cycle
-        through unaligned values that force ragged final chunks, and the
-        threshold is dropped so every sweep really crosses the pool.
-        """
-        rng = make_rng(17)
-        width = 260  # spans several 64-bit words; all chunkings ragged
-        checked = 0
-        for seed in range(102):
-            num_inputs = 2 + seed % 9
-            circuit = generate_random_circuit(
-                f"sh{seed}",
-                num_inputs,
-                1 + seed % 4,
-                num_inputs + 8 + seed % 37,
-                seed=4000 + seed,
-            )
-            values = {
-                name: rng.getrandbits(width) for name in circuit.inputs
-            }
-            reference = _packed_reference(circuit, values, width)
-            engine = compile_circuit(circuit, backend="python")
-            assert engine.eval_outputs_sliced(values, width=width) == (
-                reference
-            ), f"single-process mismatch on seed {seed}"
-            jobs = 2 + seed % 2
-            chunk = (37, 64, 100, 129)[seed % 4]
-            assert sweep_outputs(
-                circuit, values, width,
-                backend="python", jobs=jobs, chunk_width=chunk, threshold=1,
-            ) == reference, f"sharded mismatch on seed {seed}"
-            checked += 1
-        assert checked >= 100
+    def test_sweep_outputs_match(self, fresh_pool):
+        circuit = generate_random_circuit("swo", 8, 3, 70, seed=61)
+        rng = make_rng(3)
+        width = 500
+        values = {name: rng.getrandbits(width) for name in circuit.inputs}
+        assert sweep_outputs(circuit, values, width) == (
+            _packed_reference(circuit, values, width)
+        )
+        rows = [
+            {name: (values[name] >> j) & 1 for name in circuit.inputs}
+            for j in range(150)
+        ]
+        assert sweep_outputs(circuit, rows) == compile_circuit(
+            circuit
+        ).eval_outputs_sliced(rows)
+        assert not sharding.pool_is_running()
 
-    @requires_numpy
-    def test_sharded_numpy_backend_matches(self, fresh_pool, monkeypatch):
-        monkeypatch.setattr(NumpyWordBackend, "min_eval_width", 1)
-        rng = make_rng(23)
-        width = 200
-        for seed in range(12):
-            circuit = generate_random_circuit(
-                f"shnp{seed}", 6, 3, 50, seed=5000 + seed
-            )
-            values = {
-                name: rng.getrandbits(width) for name in circuit.inputs
-            }
-            assert sweep_outputs(
-                circuit, values, width,
-                backend="numpy", jobs=2, chunk_width=96, threshold=1,
-            ) == _packed_reference(circuit, values, width)
-
-    def test_sharded_node_values_match(self, fresh_pool):
-        circuit = generate_random_circuit("shnv", 8, 3, 70, seed=61)
+    def test_sweep_node_values_match(self, fresh_pool):
+        circuit = generate_random_circuit("swnv", 8, 3, 70, seed=61)
         rng = make_rng(3)
         width = 500
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
         nodes = tuple(circuit.gates[:6])
         reference = simulate_interpreted(circuit, values, width=width)
-        assert sweep_node_values(
-            circuit, nodes, values, width, jobs=3, chunk_width=111,
-            threshold=1,
-        ) == tuple(reference[n] for n in nodes)
+        assert sweep_node_values(circuit, nodes, values, width) == tuple(
+            reference[n] for n in nodes
+        )
 
-    def test_sharded_popcounts_match(self, fresh_pool):
-        circuit = generate_random_circuit("shpc", 9, 4, 90, seed=71)
+    def test_sweep_popcounts_match(self, fresh_pool):
+        circuit = generate_random_circuit("swpc", 9, 4, 90, seed=71)
         rng = make_rng(5)
         width = 700
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
         reference = simulate_interpreted(circuit, values, width=width)
-        counts = sweep_popcounts(
-            circuit, values, width, jobs=2, chunk_width=128, threshold=1
-        )
-        assert counts == {
+        assert sweep_popcounts(circuit, values, width) == {
             node: word.bit_count() for node, word in reference.items()
         }
-
-    def test_sharded_popcounts_with_targets(self, fresh_pool):
-        circuit = generate_random_circuit("shpt", 8, 3, 60, seed=73)
-        rng = make_rng(7)
-        width = 300
-        values = {name: rng.getrandbits(width) for name in circuit.inputs}
         targets = list(circuit.outputs)
-        single = compile_circuit(circuit).node_popcounts(
-            values, width, targets=targets
+        assert sweep_popcounts(circuit, values, width, targets) == (
+            compile_circuit(circuit).node_popcounts(
+                values, width, targets=targets
+            )
         )
-        assert sweep_popcounts(
-            circuit, values, width, targets,
-            jobs=2, chunk_width=64, threshold=1,
-        ) == single
 
-    def test_sharded_truth_table_matches(self, fresh_pool):
-        circuit = generate_random_circuit("shtt", 10, 2, 90, seed=81)
+    def test_sweep_truth_table_matches(self, fresh_pool):
+        circuit = generate_random_circuit("swtt", 10, 2, 90, seed=81)
         node = circuit.outputs[0]
-        single = compile_circuit(circuit).truth_table(node)
-        assert sweep_truth_table(
-            circuit, node, jobs=2, chunk_width=200, threshold=1
-        ) == single
-
-    def test_row_pattern_forms_shard_identically(self, fresh_pool):
-        circuit = generate_random_circuit("shrows", 6, 2, 40, seed=91)
-        rng = make_rng(9)
-        rows = [
-            {name: rng.getrandbits(1) for name in circuit.inputs}
-            for _ in range(150)
-        ]
-        single = compile_circuit(circuit).eval_outputs_sliced(rows)
-        assert sweep_outputs(
-            circuit, rows, jobs=2, chunk_width=47, threshold=1
-        ) == single
+        assert sweep_truth_table(circuit, node) == compile_circuit(
+            circuit
+        ).truth_table(node)
 
 
 class TestPoolLifecycle:
-    def test_sub_threshold_sweep_never_spins_up_the_pool(self, fresh_pool):
+    def test_sweeps_never_spin_up_the_pool(self, fresh_pool, monkeypatch):
+        monkeypatch.setenv(sharding.ENV_JOBS, "8")
         circuit = generate_random_circuit("nopool", 8, 3, 60, seed=33)
         rng = make_rng(11)
-        width = sharding.SHARD_THRESHOLD - 1
+        width = 1 << 16
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
-        assert not sharding.pool_is_running()
-        sweep_outputs(circuit, values, width, jobs=8)
-        sweep_popcounts(circuit, values, width, jobs=8)
+        sweep_outputs(circuit, values, width)
+        sweep_popcounts(circuit, values, width)
         assert not sharding.pool_is_running()
 
-    def test_pool_persists_across_sweeps(self, fresh_pool):
-        circuit = generate_random_circuit("pp", 6, 2, 40, seed=35)
-        rng = make_rng(13)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
+    def test_pool_persists_across_calls(self, fresh_pool):
+        assert sharding.map_in_processes(_square, [1, 2, 3], jobs=2) == [
+            1, 4, 9
+        ]
         first = sharding._POOL
         assert first is not None
-        sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
+        sharding.map_in_processes(_square, [4, 5], jobs=2)
         assert sharding._POOL is first  # reused, not respawned
 
     def test_shutdown_is_idempotent(self, fresh_pool):
@@ -318,46 +199,17 @@ class TestMapInProcesses:
 
 
 class TestBrokenPoolRecovery:
-    """One killed worker must never poison later sharded calls."""
+    """One killed worker must never poison later parallel calls."""
 
     def test_map_falls_back_inline_when_workers_die(self, fresh_pool):
         result = sharding.map_in_processes(_square_or_die, [1, 2, 3], jobs=2)
         assert result == [1, 4, 9]
         assert not sharding.pool_is_running()  # dead executor was dropped
 
-    def test_next_sweep_after_breakage_gets_a_fresh_pool(self, fresh_pool):
+    def test_next_map_after_breakage_gets_a_fresh_pool(self, fresh_pool):
         sharding.map_in_processes(_square_or_die, [1, 2], jobs=2)
-        circuit = generate_random_circuit("rec", 6, 2, 40, seed=97)
-        rng = make_rng(19)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        single = compile_circuit(circuit).eval_outputs_sliced(
-            values, width=256
-        )
-        assert sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        ) == single
+        assert sharding.map_in_processes(_square, [3, 4], jobs=2) == [9, 16]
         assert sharding.pool_is_running()
-
-    def test_sweep_falls_back_inline_on_broken_pool(
-        self, fresh_pool, monkeypatch
-    ):
-        def broken(workers):
-            raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(sharding, "_get_pool", broken)
-        circuit = generate_random_circuit("recs", 6, 2, 40, seed=99)
-        rng = make_rng(21)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        single = compile_circuit(circuit).eval_outputs_sliced(
-            values, width=256
-        )
-        assert sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        ) == single
-        counts = sweep_popcounts(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
-        assert counts == compile_circuit(circuit).node_popcounts(values, 256)
 
 
 class TestDaemonicCallerGuard:
@@ -365,7 +217,6 @@ class TestDaemonicCallerGuard:
         self, fresh_pool, monkeypatch
     ):
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert plan_sweep(1 << 20, jobs=8).jobs == 1
         assert sharding.map_in_processes(_square, [1, 2, 3], jobs=4) == [
             1, 4, 9
         ]
