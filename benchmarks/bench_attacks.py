@@ -14,7 +14,10 @@ plus two ratios consumed by the ``bench_compare.py`` regression gate:
   over engine ``run_attack("sat", ...)`` time. Both run the identical
   workload on one core, so the ratio transfers across machines and is
   *gated*: it sitting near 1.0 is the proof the registry/telemetry/
-  lifecycle layer stays out of the hot path.
+  lifecycle layer stays out of the hot path. The two sides run in turn
+  (direct, engine, direct, ...) and each side's time is the median of
+  its runs (``bench_simulate.median_seconds``), so a drift in host
+  speed hits both alike.
 - ``fall_vs_sat_speedup`` — the paper's qualitative headline (the
   functional analyses beat the SAT attack on SFLL) as a number;
   *informational*, it compares different algorithms whose relative
@@ -40,6 +43,7 @@ import sys
 import time
 from pathlib import Path
 
+from bench_simulate import median_seconds
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
@@ -139,18 +143,18 @@ def bench_attack_throughput() -> dict:
     _, _, sfll_locked, _ = [c for c in cells if c[0] == "rand14/sfll_hd1"][0]
     _, sfll_original, _, _ = [c for c in cells if c[0] == "rand14/sfll_hd1"][0]
 
-    direct_seconds, _ = _best_of(
-        lambda: sat_attack(
+    overhead = median_seconds(
+        direct=lambda: sat_attack(
             sfll_locked.circuit, IOOracle(sfll_original),
             budget=Budget(_TIME_LIMIT),
-        )
-    )
-    engine_seconds, _ = _best_of(
-        lambda: run_attack(
+        ),
+        engine=lambda: run_attack(
             "sat", sfll_locked.circuit, IOOracle(sfll_original),
             AttackConfig(time_limit=_TIME_LIMIT),
-        )
+        ),
     )
+    direct_seconds = overhead["direct_s"]
+    engine_seconds = overhead["engine_s"]
     fall_seconds = per_attack["fall"]["cells"]["rand14/sfll_hd1"]["seconds"]
     sat_seconds = per_attack["sat"]["cells"]["rand14/sfll_hd1"]["seconds"]
 
@@ -219,7 +223,8 @@ def main(argv=None) -> int:
         )
     print(
         f"  engine overhead speedup (direct/engine): "
-        f"{suite['engine_overhead_speedup']:.2f}x (gated)"
+        f"{suite['engine_overhead_speedup']:.2f}x (gated, medians of "
+        "alternating runs)"
     )
     print(
         f"  fall vs sat speedup (sfll_hd1):          "

@@ -17,7 +17,7 @@ pre-compilation implementation kept for differential testing):
 
 Every timing is the median of :data:`_REPEATS` blocks of at least
 :data:`_MIN_BLOCK_SECONDS`, and the two or three sides of each ratio
-are timed in turn (see :func:`_median_seconds`).
+are timed in turn (see :func:`median_seconds`).
 
 Run ``python benchmarks/bench_simulate.py`` from the repo root (with
 ``PYTHONPATH=src``); results are printed and written to
@@ -56,7 +56,7 @@ def _seconds(fn, rounds: int) -> float:
     return time.perf_counter() - start
 
 
-def _median_seconds(**workloads) -> dict[str, float]:
+def median_seconds(**workloads) -> dict[str, float]:
     """Median seconds per call of each workload, timed in turn.
 
     Each workload is timed as a block of calls, doubled until one block
@@ -100,7 +100,7 @@ def bench_wide_simulation() -> dict:
     return {
         "workload": f"{rounds} x {patterns}-pattern full-netlist passes",
         "gates": circuit.num_gates,
-        **_median_seconds(interpreted=interpreted, compiled=compiled),
+        **median_seconds(interpreted=interpreted, compiled=compiled),
     }
 
 
@@ -130,7 +130,7 @@ def bench_oracle_queries() -> dict:
     return {
         "workload": f"{len(queries)} single-pattern oracle queries",
         "gates": circuit.num_gates,
-        **_median_seconds(
+        **median_seconds(
             interpreted=interpreted, compiled=compiled, batched=batched
         ),
     }
@@ -176,7 +176,7 @@ def bench_prefilter_sweep() -> dict:
     return {
         "workload": f"unateness sweep over {len(cones)} cones",
         "gates": circuit.num_gates,
-        **_median_seconds(interpreted=interpreted, compiled=compiled),
+        **median_seconds(interpreted=interpreted, compiled=compiled),
     }
 
 
@@ -208,7 +208,7 @@ def bench_sliced_sweep() -> dict:
         "workload": f"{patterns}-pattern outputs sweep, "
                     "one call per pattern vs one bit-sliced pass",
         "gates": circuit.num_gates,
-        **_median_seconds(
+        **median_seconds(
             scalar_compiled=scalar_compiled, sliced_python=sliced_python
         ),
     }

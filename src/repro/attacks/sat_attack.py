@@ -9,10 +9,17 @@ remains, any key consistent with the observed I/O behaviour is correct.
 Implementation notes:
 - one incremental CDCL solver holds ``C(X, K1, Y1) ∧ C(X, K2, Y2) ∧
   (Y1 ≠ Y2)``; each iteration appends two *cofactor* encodings of the
-  circuit under the fixed distinguishing input (everything outside the
-  key-dependent cone constant-folds away, so iterations stay cheap);
+  circuit under the fixed distinguishing input;
 - a second small solver accumulates ``C(Xd, K, Yd)`` constraints and
   produces the final key when the main solver goes UNSAT.
+
+Per distinguishing input, the three cofactor encodings share one
+cached split of the netlist into its key-dependent cone and the
+constant logic around it. Each encoding runs one compiled simulation
+for the constants at the cone's boundary and folds only the cone's
+gates, so the encoding cost follows the cone, not the netlist. What
+remains is the solve itself: the instance grows by one cone pair per
+iteration and each solve propagates about all of it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,10 @@ into a flat straight-line Python function:
 - each gate is specialized to its exact expression (``v9 = mask ^ (v3 &
   v7)``) — no dispatch, no ``reduce``, no list building;
 - per-target cone slices and the region's required inputs are
-  precomputed and cached, keyed by target set.
+  precomputed and cached, keyed by target set;
+- the split of a region into the cone that depends on free inputs and
+  the constant logic around it (:meth:`CompiledCircuit.cofactor_plan`)
+  is cached for the cofactor encoder of :mod:`repro.circuit.tseitin`.
 
 Compiled artifacts are cached per :class:`Circuit` *and* per structural
 version (see :attr:`Circuit.structural_version`), so mutation safely
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 from repro.circuit.circuit import Circuit, topological_region_order
 from repro.circuit.gates import GateType
@@ -126,6 +130,21 @@ class _Program:
         self.result_names = result_names
 
 
+class CofactorPlan(NamedTuple):
+    """How to encode a target region with a fixed set of inputs pinned.
+
+    A node is *symbolic* when its fanin cone reaches an input that is not
+    fixed; every other node folds to a constant the simulator can
+    compute. ``symbolic`` lists ``(node, gate type, fanins)`` for the
+    symbolic nodes in topological order. ``boundary`` names the constant
+    nodes an encoder reads: the region's fixed inputs, the non-symbolic
+    fanins of symbolic gates and the non-symbolic targets.
+    """
+
+    symbolic: tuple[tuple[str, GateType, tuple[str, ...]], ...]
+    boundary: tuple[str, ...]
+
+
 class CompiledCircuit:
     """Flat, immutable compiled form of a :class:`Circuit`.
 
@@ -151,6 +170,7 @@ class CompiledCircuit:
         self._ident = {n: f"v{i}" for i, n in enumerate(nodes)}
         self._programs: dict[object, _Program] = {}
         self._cone_inputs: dict[str, tuple[str, ...]] = {}
+        self._cofactor_plans: dict[object, CofactorPlan] = {}
 
     # ------------------------------------------------------------------
     # Structure queries on the snapshot
@@ -163,6 +183,43 @@ class CompiledCircuit:
             cached = tuple(n for n in self.input_names if n in region)
             self._cone_inputs[node] = cached
         return cached
+
+    def cofactor_plan(
+        self, targets: tuple[str, ...], fixed: frozenset[str]
+    ) -> CofactorPlan:
+        """The cached :class:`CofactorPlan` of ``targets`` under ``fixed``.
+
+        ``fixed`` names the pinned inputs; names of other nodes in it are
+        ignored.
+        """
+        key = (targets, fixed)
+        plan = self._cofactor_plans.get(key)
+        if plan is None:
+            types = self._types
+            fanins = self._fanins
+            symbolic: list[tuple[str, GateType, tuple[str, ...]]] = []
+            is_symbolic: set[str] = set()
+            boundary: dict[str, None] = {}
+            for node in self._region_order(targets):
+                gate_type = types[node]
+                if gate_type is GateType.INPUT:
+                    if node in fixed:
+                        boundary[node] = None
+                        continue
+                elif not any(f in is_symbolic for f in fanins[node]):
+                    continue
+                is_symbolic.add(node)
+                symbolic.append((node, gate_type, fanins[node]))
+            for _, _, node_fanins in symbolic:
+                for fanin in node_fanins:
+                    if fanin not in is_symbolic:
+                        boundary[fanin] = None
+            for target in targets:
+                if target not in is_symbolic:
+                    boundary[target] = None
+            plan = CofactorPlan(tuple(symbolic), tuple(boundary))
+            self._cofactor_plans[key] = plan
+        return plan
 
     def _region_order(self, targets: Sequence[str] | None) -> list[str]:
         """Fanin-before-fanout order of the targets' cones (or all nodes)."""

@@ -14,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import Circuit
+from repro.circuit.compiled import compile_circuit
 from repro.circuit.gates import GateType
 from repro.errors import EncodingError
 from repro.sat.cnf import Cnf
@@ -86,11 +87,14 @@ def encode_circuit(
 class CofactorEncoding:
     """Encoding of a circuit specialized under a partial input assignment.
 
-    Every node evaluates either to a constant (``consts``) or to a CNF
-    literal (``lits``, signed int — negation is free). Used by the SAT
-    attack and key confirmation: with the distinguishing input fixed,
-    everything outside the key-dependent cone constant-folds away and
-    each iteration adds only a few clauses.
+    Every node the encoder visits evaluates either to a constant
+    (``consts``) or to a CNF literal (``lits``, signed int — negation is
+    free). ``consts`` holds the fixed inputs, the boundary nodes (the
+    constant fanins of symbolic gates), the targets and any cone node
+    that folded to a constant; constant logic further from the cone is
+    never visited. Used by the SAT attack and key confirmation: with
+    the distinguishing input fixed, everything outside the key-dependent
+    cone constant-folds away and each iteration adds only a few clauses.
     """
 
     cnf: Cnf
@@ -118,35 +122,38 @@ def encode_under_assignment(
 
     ``fixed`` pins inputs to 0/1; ``shared_vars`` supplies CNF variables
     for other nodes (typically the key inputs); remaining inputs get
-    fresh variables. Constants are propagated through the netlist so only
-    genuinely symbolic logic produces clauses.
+    fresh variables. Only the symbolic cone — nodes whose fanin cone
+    reaches an input that is not fixed — is visited, in topological
+    order; the constants it reads (see :class:`CofactorEncoding`) come
+    from one compiled simulation. The cone split is cached per circuit
+    version, targets and set of fixed names
+    (:meth:`CompiledCircuit.cofactor_plan`), so repeated calls with
+    fresh values pay only for the cone.
     """
-    if targets is None:
-        targets = list(circuit.outputs)
+    compiled = compile_circuit(circuit)
+    plan = compiled.cofactor_plan(
+        tuple(circuit.outputs if targets is None else targets),
+        frozenset(fixed),
+    )
     encoding = CofactorEncoding(cnf=cnf)
     consts = encoding.consts
     lits = encoding.lits
+    if plan.boundary:
+        consts.update(
+            zip(plan.boundary, compiled.node_values(plan.boundary, fixed))
+        )
     shared_vars = shared_vars or {}
 
-    for node in circuit.topological_order(targets=list(targets)):
-        gate_type = circuit.gate_type(node)
+    for node, gate_type, fanins in plan.symbolic:
         if gate_type is GateType.INPUT:
-            if node in fixed:
-                consts[node] = int(fixed[node])
-            elif node in shared_vars:
+            if node in shared_vars:
                 lits[node] = shared_vars[node]
             else:
                 lits[node] = cnf.new_var()
             continue
-        if gate_type is GateType.CONST0:
-            consts[node] = 0
-            continue
-        if gate_type is GateType.CONST1:
-            consts[node] = 1
-            continue
         fanin_consts: list[int] = []
         fanin_lits: list[int] = []
-        for fanin in circuit.fanins(node):
+        for fanin in fanins:
             if fanin in consts:
                 fanin_consts.append(consts[fanin])
             else:

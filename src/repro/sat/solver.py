@@ -68,7 +68,7 @@ class SolverStats:
         self.restarts = 0
         self.solve_calls = 0
 
-    def as_dict(self) -> dict[int, int]:
+    def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
@@ -246,13 +246,14 @@ class Solver:
         watches = self._watches
         trail = self._trail
         removed = self._removed
-        propagations = 0
+        level = self._level
+        reason = self._reason
+        decision_level = len(self._trail_lim)
+        qhead = start = self._qhead
         conflict: list[int] | None = None
-        while self._qhead < len(trail):
-            lit = trail[self._qhead]
-            self._qhead += 1
-            propagations += 1
-            false_lit = lit ^ 1
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
             watchlist = watches[false_lit]
             i = 0
             j = 0
@@ -270,32 +271,35 @@ class Solver:
                     watchlist[j] = clause
                     j += 1
                     continue
-                swap_index = -1
                 for k in range(2, len(clause)):
-                    if values[clause[k]] != _FALSE:
-                        swap_index = k
+                    other = clause[k]
+                    if values[other] != _FALSE:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(clause)
                         break
-                if swap_index >= 0:
-                    other = clause[swap_index]
-                    clause[1] = other
-                    clause[swap_index] = false_lit
-                    watches[other].append(clause)
-                    continue
-                # Clause is unit or conflicting.
-                watchlist[j] = clause
-                j += 1
-                if values[first] == _FALSE:
-                    conflict = clause
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    break
-                self._enqueue(first, clause)
+                else:
+                    # Clause is unit or conflicting.
+                    watchlist[j] = clause
+                    j += 1
+                    if values[first] == _FALSE:
+                        conflict = clause
+                        while i < n:
+                            watchlist[j] = watchlist[i]
+                            j += 1
+                            i += 1
+                        break
+                    values[first] = _TRUE
+                    values[first ^ 1] = _FALSE
+                    var = first >> 1
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
             del watchlist[j:]
             if conflict is not None:
                 break
-        self.stats.propagations += propagations
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
         return conflict
 
     def _bump_var(self, var: int) -> None:
@@ -395,28 +399,34 @@ class Solver:
         phase = self._phase
         reason = self._reason
         level = self._level
+        activity = self._activity
+        heap = self._heap
+        trail = self._trail
         boundary = self._trail_lim[target_level]
-        for idx in range(len(self._trail) - 1, boundary - 1, -1):
-            ilit = self._trail[idx]
+        for ilit in reversed(trail[boundary:]):
             var = ilit >> 1
             phase[var] = not (ilit & 1)
             values[ilit] = _UNASSIGNED
             values[ilit ^ 1] = _UNASSIGNED
             reason[var] = None
             level[var] = -1
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
+            heappush(heap, (-activity[var], var))
+        del trail[boundary:]
         del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
+        self._qhead = len(trail)
 
     def _pick_branch_var(self) -> int:
+        """Pop the most active unassigned variable.
+
+        Only called while some variable is unassigned; every unassigned
+        variable has a heap entry, so the pops end before the heap does.
+        """
         values = self._values
         heap = self._heap
-        while heap:
+        while True:
             _, var = heappop(heap)
             if values[var << 1] == _UNASSIGNED:
                 return var
-        return 0
 
     def _purge_removed(self) -> None:
         """Physically drop tombstoned clauses from every watch list.
@@ -563,11 +573,14 @@ class Solver:
                 self._enqueue(ilit, None)
                 continue
 
-            var = self._pick_branch_var()
-            if var == 0:
+            if len(self._trail) == self._num_vars:
+                # Every variable is assigned, so picking a branch variable
+                # would only pop the whole heap: empty it and stop.
+                self._heap.clear()
                 self._store_model()
                 self._cancel_until(0)
                 return SolveStatus.SAT
+            var = self._pick_branch_var()
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))
             if self._random_phase and self._rng.random() < self._random_phase:
@@ -578,11 +591,9 @@ class Solver:
             self._enqueue(ilit, None)
 
     def _store_model(self) -> None:
-        values = self._values
-        model = [False] * (self._num_vars + 1)
-        for var in range(1, self._num_vars + 1):
-            model[var] = values[var << 1] == _TRUE
-        self._model = model
+        self._model = [False] + [
+            value == _TRUE for value in self._values[2::2]
+        ]
 
     # ------------------------------------------------------------------
     # Model access

@@ -72,6 +72,18 @@ class TestShortlistConfirmation:
         result = key_confirmation(locked.circuit, IOOracle(original), candidates)
         assert result.status is AttackStatus.SUCCESS
         assert result.key == correct
+        # Golden solver counters: encoding and solver speed-ups must not
+        # move them (see tests/sat/test_solver.py::TestDeterminism).
+        assert result.iterations == 6
+        assert result.oracle_queries == 13
+        assert result.details["p_solver"] == {
+            "conflicts": 0, "decisions": 7, "propagations": 1945,
+            "restarts": 0, "solve_calls": 7,
+        }
+        assert result.details["q_solver"] == {
+            "conflicts": 40, "decisions": 394, "propagations": 12641,
+            "restarts": 0, "solve_calls": 12,
+        }
 
     def test_key_equivalent_to_correct_accepted(self):
         # If a shortlisted key is functionally correct (not bit-identical

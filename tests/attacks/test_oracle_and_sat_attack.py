@@ -151,3 +151,42 @@ class TestAttackResultPlumbing:
         text = result.summary()
         assert "sat-attack" in text
         assert "key=1001" in text
+
+
+class TestSearchIsPinned:
+    """Golden solver counters of two SAT-attack runs.
+
+    Encoding and solver speed-ups must leave every clause, variable
+    number and decision alone; these counters move if one does. A change
+    that alters search on purpose updates them and says why.
+    """
+
+    def test_paper_ttlock(self):
+        original = paper_example_circuit()
+        locked = lock_ttlock(original, cube=(1, 0, 0, 1))
+        result = sat_attack(locked.circuit, IOOracle(original))
+        assert result.key == (1, 0, 0, 1)
+        assert result.iterations == 3
+        assert result.details["solver"] == {
+            "conflicts": 15, "decisions": 43, "propagations": 1107,
+            "restarts": 0, "solve_calls": 4,
+        }
+        assert result.details["key_solver"] == {
+            "conflicts": 0, "decisions": 0, "propagations": 13,
+            "restarts": 0, "solve_calls": 1,
+        }
+
+    def test_random_ttlock(self):
+        original = generate_random_circuit("pin", 12, 3, 80, seed=5)
+        locked = lock_ttlock(original, key_width=8, seed=5)
+        result = sat_attack(locked.circuit, IOOracle(original))
+        assert result.status is AttackStatus.SUCCESS
+        assert result.iterations == 99
+        assert result.details["solver"] == {
+            "conflicts": 139, "decisions": 2273, "propagations": 137984,
+            "restarts": 0, "solve_calls": 100,
+        }
+        assert result.details["key_solver"] == {
+            "conflicts": 0, "decisions": 0, "propagations": 701,
+            "restarts": 0, "solve_calls": 1,
+        }

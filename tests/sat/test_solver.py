@@ -338,6 +338,11 @@ class TestDeterminism:
         assert runs[0][2] > 100, "instance too easy to exercise reduce_db"
         assert runs[0] == runs[1] == runs[2]
 
+    def test_search_is_pinned(self):
+        # Golden counters: a change to any branching, propagation or
+        # learning decision moves them. Update them only on purpose.
+        assert self._run(seed=3) == (SolveStatus.UNSAT, None, 942, 1169, 12565, 5)
+
     def test_incremental_resolve_deterministic(self):
         def episode():
             rng = random.Random(11)
@@ -360,3 +365,24 @@ class TestDeterminism:
             return tuple(trace)
 
         assert episode() == episode()
+        # Root-level unit propagation refutes this formula.
+        assert episode() == ((SolveStatus.UNSAT, 0),)
+
+    def test_incremental_search_is_pinned(self):
+        # Twenty SAT rounds, each blocking the previous model, with the
+        # learnt-clause limit low enough that the database is reduced
+        # three times. The counters are cumulative golden values.
+        solver = Solver(random_phase=0.3, seed=5)
+        solver._max_learnts = 25.0
+        solver.add_cnf(_pigeonhole_cnf(holes=6, pigeons=6))
+        for _ in range(20):
+            assert solver.solve() is SolveStatus.SAT
+            solver.add_clause([
+                -var if value else var
+                for var, value in solver.model_dict().items()
+            ])
+        assert solver.stats.as_dict() == {
+            "conflicts": 89, "decisions": 365, "propagations": 1545,
+            "restarts": 0, "solve_calls": 20,
+        }
+        assert solver._max_learnts > 50.0  # three reductions fired
