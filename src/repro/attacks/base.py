@@ -7,7 +7,7 @@ only meaningful when success is judged uniformly. This module defines
 the shared vocabulary that makes the attack layer uniform:
 
 - :class:`AttackConfig` — one declarative configuration replacing the
-  divergent per-attack keyword plumbing (budget, seed, jobs, iteration
+  divergent per-attack keyword plumbing (time limit, seed, iteration
   caps, checkpointing, telemetry sink, per-family options);
 - :class:`TelemetryRecorder` — a streaming lifecycle-event sink (stage
   start/finish, iterations, oracle-query counters) whose snapshot is
@@ -18,14 +18,14 @@ the shared vocabulary that makes the attack layer uniform:
 
 Concrete families are registered in :mod:`repro.attacks.registry`; the
 engine layer (:mod:`repro.attacks.engine`) drives them with lifecycle
-bookkeeping, checkpoint/resume and portfolio racing.
+bookkeeping, checkpoint/resume and in-order portfolios.
 """
 
 from __future__ import annotations
 
 import abc
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.attacks.oracle import IOOracle
@@ -46,14 +46,14 @@ class AttackConfig:
     """Declarative configuration shared by every registered attack.
 
     ``time_limit`` is the wall-clock budget in seconds (``None`` =
-    unlimited), mirroring the paper's 1000 s per-run limit. ``budget``
-    overrides it with an externally constructed :class:`Budget` — the
-    portfolio engine uses this to inject cooperatively cancellable
-    budgets. ``options`` carries family-specific knobs (e.g. AppSAT's
-    ``settle_rounds``, SPS's ``patterns``, FALL's ``analyses``) without
-    re-growing per-attack signatures; each family reads the keys it
-    knows and ignores the rest, so one config can drive a whole
-    portfolio.
+    unlimited), mirroring the paper's 1000 s per-run limit. ``jobs`` is
+    accepted for callers that still pass it, but no engine path reads
+    it: attacks and portfolios always run in the calling process (the
+    suite runner takes its worker count separately). ``options``
+    carries family-specific knobs (e.g. AppSAT's ``settle_rounds``,
+    SPS's ``patterns``, FALL's ``analyses``) without re-growing
+    per-attack signatures; each family reads the keys it knows and
+    ignores the rest, so one config can drive a whole portfolio.
     """
 
     h: int = 0
@@ -63,17 +63,11 @@ class AttackConfig:
     jobs: int | str | None = None
     candidates: tuple[tuple[int, ...], ...] | None = None
     checkpoint_path: str | None = None
-    # 0 = adaptive (time-throttled) flushing; N > 0 = flush every N
-    # recorded queries. See repro.attacks.checkpoint.CheckpointOracle.
-    checkpoint_every: int = 0
     options: Mapping[str, Any] = field(default_factory=dict)
     telemetry: "TelemetryRecorder | None" = None
-    budget: Budget | None = None
 
     def make_budget(self) -> Budget:
-        """The run's budget: the injected one, else a fresh wall clock."""
-        if self.budget is not None:
-            return self.budget
+        """A fresh wall-clock budget of ``time_limit`` seconds."""
         return Budget(self.time_limit)
 
     def option(self, key: str, default: Any = None) -> Any:
@@ -94,10 +88,6 @@ class AttackConfig:
             else None,
             "options": _canonical_options(self.options),
         }
-
-    def stripped_for_worker(self) -> "AttackConfig":
-        """A picklable copy for process shipping (no live sink/budget)."""
-        return replace(self, telemetry=None, budget=None)
 
 
 def _canonical_options(options: Mapping[str, Any]) -> dict:
@@ -129,9 +119,8 @@ class TelemetryRecorder:
     self-contained and JSON-safe.
     """
 
-    def __init__(self, max_events: int = MAX_TELEMETRY_EVENTS):
+    def __init__(self):
         self._stopwatch = Stopwatch()
-        self._max_events = max_events
         self.events: list[dict] = []
         self.counters: dict[str, int] = {}
         self.stages: dict[str, float] = {}
@@ -139,7 +128,7 @@ class TelemetryRecorder:
 
     def event(self, kind: str, stage: str | None = None, **data) -> None:
         """Record one lifecycle event (bounded; overflow is counted)."""
-        if len(self.events) >= self._max_events:
+        if len(self.events) >= MAX_TELEMETRY_EVENTS:
             self.dropped_events += 1
             return
         entry: dict = {"t": round(self._stopwatch.elapsed, 6), "kind": kind}

@@ -1,4 +1,4 @@
-"""The unified attack engine: lifecycle, checkpoints, portfolio racing.
+"""The unified attack engine: lifecycle, checkpoints, portfolios.
 
 :func:`run_attack` is the one entry point every consumer (CLI, suite
 runner, benchmarks, tests) drives attacks through. On top of the raw
@@ -18,23 +18,15 @@ family functions it provides:
   labelled with the registry name, and with ``key_names`` always
   populated from the locked netlist.
 
-:func:`run_portfolio` races several registered attacks on one benchmark
-across the persistent worker pool (:mod:`repro.circuit.sharding`),
-which the suite runner shares. The first conclusive (SUCCESS)
-finisher sets a cross-process cancellation event; the other racers
-observe it through their cooperative budgets and stop at their next
-budget check. The reported winner is deterministic given seeds: among
-conclusive results, the earliest attack in the requested order wins
-(completion order never decides), and with one worker the race
-degenerates to an in-order sequential run with early exit.
+:func:`run_portfolio` runs several registered attacks on one benchmark
+in the requested order, in the calling process, and stops at the first
+conclusive (SUCCESS) result, so its winner never depends on worker
+counts or completion order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
+from collections.abc import Iterable, Sequence
 from dataclasses import replace
 
 from repro.attacks.base import AttackConfig, TelemetryRecorder
@@ -43,21 +35,8 @@ from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import get_attack
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
-from repro.circuit.sharding import (
-    circuit_fingerprint,
-    circuit_from_spec,
-    circuit_spec,
-    pool_allowed,
-    pool_executor,
-    resolve_jobs,
-)
+from repro.circuit.sharding import circuit_fingerprint
 from repro.errors import AttackError
-from repro.utils.timer import Budget
-
-#: How often (seconds) a racing budget polls the cross-process
-#: cancellation event; bounds both the polling overhead and the
-#: cancellation latency.
-_CANCEL_POLL_SECONDS = 0.05
 
 
 def run_attack(
@@ -113,10 +92,7 @@ def run_attack(
             ] = True
             return finished
         checkpoint_oracle = CheckpointOracle(
-            oracle,
-            checkpoint,
-            config.checkpoint_path,
-            every=config.checkpoint_every,
+            oracle, checkpoint, config.checkpoint_path
         )
         run_oracle = checkpoint_oracle
         telemetry.event(
@@ -159,111 +135,11 @@ def run_attack(
 
 
 # ----------------------------------------------------------------------
-# Portfolio racing
+# Portfolios
 # ----------------------------------------------------------------------
-class _RaceBudget(Budget):
-    """A budget that also expires when the race's cancel event fires.
-
-    Attacks already poll ``budget.expired`` cooperatively (the solver
-    checks every few hundred conflicts), so cancellation rides the
-    existing mechanism: once the event is set, ``remaining`` collapses
-    to zero and the attack unwinds with a TIMEOUT at its next check.
-    Event polling is throttled to one IPC round trip per
-    :data:`_CANCEL_POLL_SECONDS`.
-    """
-
-    def __init__(self, seconds, event):
-        super().__init__(seconds)
-        self._event = event
-        self._cancelled = False
-        self._last_poll = 0.0
-
-    @property
-    def remaining(self) -> float:
-        if not self._cancelled and self._event is not None:
-            now = time.monotonic()
-            if now - self._last_poll >= _CANCEL_POLL_SECONDS:
-                self._last_poll = now
-                try:
-                    if self._event.is_set():
-                        self._cancelled = True
-                except (EOFError, BrokenPipeError, ConnectionError):
-                    # The manager went away (race already torn down);
-                    # treat it as cancellation.
-                    self._cancelled = True
-        if self._cancelled:
-            return 0.0
-        return Budget.remaining.fget(self)
-
-    def sub(self, seconds: float | None = None) -> "Budget":
-        """Race-aware child budgets.
-
-        Attack stages derive slices with ``budget.sub(...)`` (FALL's
-        geometric candidate slicing, guess's per-cone caps) and then
-        poll only the child; a plain child would outlive a cancelled
-        race for its whole slice, so children share the cancel event.
-        """
-        cap = self.remaining if seconds is None else min(
-            seconds, self.remaining
-        )
-        if cap == float("inf"):
-            return _RaceBudget(None, self._event)
-        return _RaceBudget(cap, self._event)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-
-def _conclusive(result: AttackResult | None) -> bool:
-    return result is not None and result.status is AttackStatus.SUCCESS
-
-
-def _portfolio_task(payload: tuple) -> AttackResult | None:
-    """Worker entry: rebuild the benchmark, run one racer, return result."""
-    name, locked_spec, oracle_spec, config, cancel = payload
-    locked = circuit_from_spec(locked_spec)
-    oracle = (
-        IOOracle(circuit_from_spec(oracle_spec))
-        if oracle_spec is not None
-        else None
-    )
-    budget = _RaceBudget(config.time_limit, cancel)
-    config = replace(config, budget=budget)
-    try:
-        result = run_attack(name, locked, oracle, config)
-    except AttackError:
-        return None
-    if budget.cancelled and result.status is AttackStatus.TIMEOUT:
-        result.details["cancelled"] = True
-    return result
-
-
-def run_portfolio(
-    names: Sequence[str],
-    locked: Circuit,
-    oracle: IOOracle | None = None,
-    config: AttackConfig | None = None,
-    jobs: int | str | None = None,
-) -> AttackResult:
-    """Race several registered attacks; first conclusive result wins.
-
-    Returns the winner's :class:`AttackResult` with a
-    ``details['portfolio']`` summary of every racer (status, timing,
-    query count, whether it was cancelled). When no racer concludes,
-    the result with the strongest status (by ``SUCCESS >
-    MULTIPLE_CANDIDATES > TIMEOUT > FAILED > NOT_APPLICABLE``, ties to
-    requested order) is returned so callers always get the best
-    available outcome.
-
-    ``jobs`` resolves like the suite runner's (argument, then
-    ``config.jobs``, then ``REPRO_SIM_JOBS``, then auto). With one
-    worker the attacks run sequentially in the requested order and the
-    race stops at the first conclusive result — the fully deterministic
-    mode; with more workers the same winner is reported whenever the
-    racers' own outcomes are deterministic, because winner selection
-    prefers requested order over completion order.
-    """
+def portfolio_names(names: Iterable[str]) -> list[str]:
+    """Validate a portfolio request: at least one registered name, no
+    name twice. Raises :class:`~repro.errors.AttackError` otherwise."""
     names = list(names)
     if not names:
         raise AttackError("portfolio needs at least one attack name")
@@ -273,75 +149,44 @@ def run_portfolio(
         if name in seen:
             raise AttackError(f"attack {name!r} listed twice in portfolio")
         seen.add(name)
+    return names
+
+
+def run_portfolio(
+    names: Sequence[str],
+    locked: Circuit,
+    oracle: IOOracle | None = None,
+    config: AttackConfig | None = None,
+) -> AttackResult:
+    """Run several registered attacks in order; the first SUCCESS wins.
+
+    The attacks run one after another in the requested order, in the
+    calling process, and the portfolio stops at the first ``SUCCESS``:
+    later attacks never start and are reported as ``skipped``. The
+    winner therefore depends only on the attacks' own (seeded)
+    outcomes. Returns the winner's :class:`AttackResult` with a
+    ``details['portfolio']`` summary of every attack (status, timing,
+    query count). When no attack succeeds, the result with the
+    strongest status (by ``SUCCESS > MULTIPLE_CANDIDATES > TIMEOUT >
+    FAILED > NOT_APPLICABLE``, ties to requested order) is returned.
+    """
+    names = portfolio_names(names)
     config = config or AttackConfig()
     if config.checkpoint_path:
         raise AttackError(
             "checkpointing a portfolio is not supported; checkpoint "
             "individual attacks instead"
         )
-    workers = min(resolve_jobs(jobs if jobs is not None else config.jobs),
-                  len(names))
-    if workers > 1 and pool_allowed():
-        results, cancelled = _race_in_processes(
-            names, locked, oracle, config, workers
-        )
-    else:
-        results, cancelled = _race_sequentially(names, locked, oracle, config)
-    return _pick_winner(names, results, cancelled)
-
-
-def _race_sequentially(names, locked, oracle, config):
-    results: dict[str, AttackResult | None] = {}
-    skipped = False
+    results: dict[str, AttackResult] = {}
     for name in names:
-        if skipped:
-            results[name] = None
-            continue
         results[name] = run_attack(name, locked, oracle, config)
         if _conclusive(results[name]):
-            skipped = True  # later racers never start: clean early exit
-    return results, set()
+            break
+    return _pick_winner(names, results)
 
 
-def _race_in_processes(names, locked, oracle, config, workers):
-    locked_spec = circuit_spec(locked)
-    oracle_spec = (
-        circuit_spec(oracle.circuit) if oracle is not None else None
-    )
-    shipped_config = config.stripped_for_worker()
-    manager = multiprocessing.Manager()
-    results: dict[str, AttackResult | None] = {name: None for name in names}
-    cancelled: set[str] = set()
-    try:
-        cancel = manager.Event()
-        pool = pool_executor(workers)
-        futures = {
-            pool.submit(
-                _portfolio_task,
-                (name, locked_spec, oracle_spec, shipped_config, cancel),
-            ): name
-            for name in names
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                name = futures[future]
-                try:
-                    results[name] = future.result()
-                except Exception:
-                    results[name] = None
-                if _conclusive(results[name]) and not cancel.is_set():
-                    cancel.set()
-        for name, result in results.items():
-            if (
-                result is not None
-                and result.details.get("cancelled")
-            ):
-                cancelled.add(name)
-    finally:
-        manager.shutdown()
-    return results, cancelled
+def _conclusive(result: AttackResult) -> bool:
+    return result.status is AttackStatus.SUCCESS
 
 
 _STATUS_RANK = {
@@ -353,19 +198,16 @@ _STATUS_RANK = {
 }
 
 
-def _pick_winner(names, results, cancelled) -> AttackResult:
-    ranked = sorted(
-        (name for name in names if results[name] is not None),
-        key=lambda name: (_STATUS_RANK[results[name].status],
-                          names.index(name)),
+def _pick_winner(names, results) -> AttackResult:
+    # ``results`` is in requested order, and ``min`` keeps the first
+    # of equal ranks.
+    winner_name = min(
+        results, key=lambda name: _STATUS_RANK[results[name].status]
     )
-    if not ranked:
-        raise AttackError("portfolio produced no results")
-    winner_name = ranked[0]
     winner = results[winner_name]
     summary = {}
     for name in names:
-        result = results[name]
+        result = results.get(name)
         if result is None:
             summary[name] = {"status": "skipped"}
             continue
@@ -374,7 +216,6 @@ def _pick_winner(names, results, cancelled) -> AttackResult:
             "elapsed_seconds": result.elapsed_seconds,
             "oracle_queries": result.oracle_queries,
             "iterations": result.iterations,
-            "cancelled": name in cancelled,
         }
     winner.details["portfolio"] = {
         "winner": winner_name,

@@ -14,8 +14,8 @@ base.Attack` adapter here, keyed by its CLI name:
 ``indcpa``            the §VI-D IND-CPA distinguishing game
 ====================  =====================================================
 
-Consumers — the CLI, the experiment suite runner, the portfolio racer,
-benchmarks and tests — resolve attacks by name through :func:`get_attack`
+Consumers — the CLI, the experiment suite runner, the engine's
+portfolios, benchmarks and tests — resolve attacks by name through :func:`get_attack`
 and never import family entry points directly, so adding a family is one
 adapter class with the ``@register_attack`` decorator.
 """

@@ -36,17 +36,11 @@ from repro.circuit.tseitin import CircuitEncoding, encode_circuit
 from repro.circuit.equivalence import (
     EquivalenceResult,
     check_equivalence,
-    check_outputs_equal,
 )
 from repro.circuit.aig import Aig
 from repro.circuit.opt import optimize, sweep
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.library import c17, paper_example_circuit
-from repro.circuit.sequential import (
-    SequentialCircuit,
-    combinational_view,
-    parse_bench_sequential,
-)
 
 __all__ = [
     "GateType",
@@ -73,14 +67,10 @@ __all__ = [
     "encode_circuit",
     "EquivalenceResult",
     "check_equivalence",
-    "check_outputs_equal",
     "Aig",
     "optimize",
     "sweep",
     "generate_random_circuit",
     "c17",
     "paper_example_circuit",
-    "SequentialCircuit",
-    "combinational_view",
-    "parse_bench_sequential",
 ]

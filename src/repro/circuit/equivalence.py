@@ -102,35 +102,3 @@ def check_equivalence(
         name: int(solver.model_value(var)) for name, var in shared.items()
     }
     return EquivalenceResult(equivalent=False, counterexample=counterexample)
-
-
-def check_outputs_equal(
-    circuit: Circuit,
-    node_a: str,
-    node_b: str,
-    budget: Budget | None = None,
-) -> EquivalenceResult:
-    """Check two nodes of the *same* circuit for functional equality."""
-    cnf = Cnf()
-    encoding = encode_circuit(circuit, cnf, targets=[node_a, node_b])
-    a = encoding.lit(node_a)
-    b = encoding.lit(node_b)
-    miter = cnf.new_var()
-    cnf.add_clause([-miter, a, b])
-    cnf.add_clause([-miter, -a, -b])
-    cnf.add_clause([miter, -a, b])
-    cnf.add_clause([miter, a, -b])
-    cnf.add_clause([miter])
-    solver = Solver()
-    solver.add_cnf(cnf)
-    status = solver.solve(budget=budget)
-    if status is SolveStatus.UNKNOWN:
-        return EquivalenceResult(equivalent=None)
-    if status is SolveStatus.UNSAT:
-        return EquivalenceResult(equivalent=True)
-    inputs = {
-        name: int(solver.model_value(encoding.var_of[name]))
-        for name in circuit.inputs
-        if name in encoding.var_of
-    }
-    return EquivalenceResult(equivalent=False, counterexample=inputs)

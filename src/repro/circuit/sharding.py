@@ -2,10 +2,10 @@
 
 Three things live here:
 
-- **the persistent process pool** — :func:`map_in_processes` (an
+- **the persistent process pool** — :func:`map_in_processes`, an
   order-preserving map used by the suite runner in
-  :mod:`repro.experiments.runner`) and :func:`pool_executor` (futures
-  for the attack portfolio racer in :mod:`repro.attacks.engine`).
+  :mod:`repro.experiments.runner` (its only consumer; attacks and
+  attack portfolios always run in the calling process).
   Worker-count selection resolves in priority order: explicit ``jobs=``
   argument, the ``REPRO_SIM_JOBS`` environment variable, then ``auto``
   (the number of usable CPU cores). Pool workers never spawn pools of
@@ -202,19 +202,6 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 def pool_is_running() -> bool:
     """Whether the persistent worker pool has been spun up."""
     return _POOL is not None
-
-
-def pool_executor(workers: int) -> ProcessPoolExecutor:
-    """The persistent executor, grown to ``workers``, for submit-style
-    consumers (the attack portfolio racer) that need futures rather than
-    the order-preserving :func:`map_in_processes`. Callers must check
-    :func:`pool_allowed` themselves."""
-    return _get_pool(workers)
-
-
-def pool_allowed() -> bool:
-    """Whether this process may dispatch work to the pool."""
-    return not _pool_disallowed()
 
 
 def shutdown_pool() -> None:

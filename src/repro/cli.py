@@ -5,8 +5,9 @@ Three commands (also exposed as console scripts via pyproject):
 - ``fall-lock``: lock a ``.bench`` netlist with TTLock/SFLL-HDh (or a
   baseline scheme) and write the locked ``.bench`` plus the key.
 - ``fall-attack``: run any registered attack family (``--attack``), or
-  race several (``--portfolio``), on a locked ``.bench`` netlist,
-  optionally with an oracle netlist and JSON checkpointing.
+  several in order until one succeeds (``--portfolio``), on a locked
+  ``.bench`` netlist, optionally with an oracle netlist and JSON
+  checkpointing.
 - ``fall-experiments``: regenerate the paper's tables and figures.
 """
 
@@ -18,12 +19,12 @@ import sys
 from contextlib import contextmanager
 
 from repro.attacks.base import AttackConfig
-from repro.attacks.engine import run_attack, run_portfolio
+from repro.attacks.engine import portfolio_names, run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import all_attacks, attack_names, get_attack
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.sharding import ENV_JOBS, parse_jobs
-from repro.errors import CircuitError
+from repro.errors import AttackError, CircuitError
 from repro.locking import (
     lock_antisat,
     lock_random_xor,
@@ -38,10 +39,9 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         default=None,
         metavar="N",
-        help="worker processes for parallel suite runs and attack "
-             "portfolios: a positive integer or 'auto' "
-             "(default: the REPRO_SIM_JOBS environment variable, then "
-             "'auto' = all usable CPU cores)",
+        help="worker processes for parallel suite runs: a positive "
+             "integer or 'auto' (default: the REPRO_SIM_JOBS environment "
+             "variable, then 'auto' = all usable CPU cores)",
     )
 
 
@@ -53,11 +53,11 @@ def _jobs_scope(
 
     Validation covers both the ``--jobs`` flag and an inherited
     ``REPRO_SIM_JOBS`` value, so a typo fails fast with a usage error
-    instead of surfacing mid-run. The suite runner and the portfolio
-    racer both read the environment, so one assignment covers every
-    downstream consumer — and it is scoped to this
-    invocation (the prior value is restored on exit), so one command's
-    ``--jobs`` never leaks into later in-process calls.
+    instead of surfacing mid-run. The suite runner reads the
+    environment, so one assignment covers every downstream consumer —
+    and it is scoped to this invocation (the prior value is restored
+    on exit), so one command's ``--jobs`` never leaks into later
+    in-process calls.
     """
     source = args.jobs if args.jobs is not None else os.environ.get(ENV_JOBS)
     try:
@@ -140,30 +140,22 @@ def main_lock(argv: list[str] | None = None) -> int:
 def _parse_portfolio(parser, value: str) -> list[str]:
     """Resolve a ``--portfolio`` spec into registered attack names."""
     if value == "auto":
-        # The oracle-guided racing set: the families whose conclusive
-        # results are comparable key recoveries.
+        # The oracle-guided set: the families whose conclusive results
+        # are comparable key recoveries.
         return ["fall", "sat", "appsat", "double-dip"]
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    if not names:
-        parser.error("--portfolio needs at least one attack name")
-    seen: set[str] = set()
-    for name in names:
-        if name not in attack_names():
-            parser.error(
-                f"unknown attack {name!r} in --portfolio; registered "
-                f"attacks: {', '.join(attack_names())}"
-            )
-        if name in seen:
-            parser.error(f"attack {name!r} listed twice in --portfolio")
-        seen.add(name)
-    return names
+    try:
+        return portfolio_names(
+            name.strip() for name in value.split(",") if name.strip()
+        )
+    except AttackError as error:
+        parser.error(f"--portfolio: {error}")
 
 
 def main_attack(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fall-attack",
         description="Attack a locked .bench netlist with any registered "
-                    "attack family, or race several as a portfolio.",
+                    "attack family, or several in order as a portfolio.",
     )
     parser.add_argument(
         "netlist",
@@ -185,10 +177,10 @@ def main_attack(argv: list[str] | None = None) -> int:
         const="auto",
         default=None,
         metavar="NAMES",
-        help="race a comma-separated list of registered attacks instead "
-             "of running one (--portfolio alone races the oracle-guided "
-             "set fall,sat,appsat,double-dip); first conclusive result "
-             "wins, the rest are cooperatively cancelled",
+        help="run a comma-separated list of registered attacks in order "
+             "instead of one (--portfolio alone runs the oracle-guided "
+             "set fall,sat,appsat,double-dip); the first successful "
+             "attack wins and the rest are skipped",
     )
     parser.add_argument(
         "--list-attacks",
@@ -222,7 +214,6 @@ def main_attack(argv: list[str] | None = None) -> int:
              "and an interrupted run resumes bit-exactly (iterative "
              "oracle-guided attacks only; not valid with --portfolio)",
     )
-    _add_jobs_argument(parser)
     args = parser.parse_args(argv)
 
     if args.list_attacks:
@@ -239,32 +230,31 @@ def main_attack(argv: list[str] | None = None) -> int:
         )
     if args.portfolio is not None and args.checkpoint is not None:
         parser.error("--checkpoint cannot be combined with --portfolio")
+    names = (
+        _parse_portfolio(parser, args.portfolio)
+        if args.portfolio is not None
+        else None
+    )
 
-    with _jobs_scope(parser, args):
-        locked = read_bench(args.netlist)
-        oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
-        config = AttackConfig(
-            h=args.h,
-            time_limit=args.time_limit,
-            max_iterations=args.max_iterations,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-        )
-        if args.portfolio is not None:
-            names = _parse_portfolio(parser, args.portfolio)
-            result = run_portfolio(names, locked, oracle, config)
-            portfolio = result.details["portfolio"]
-            print(f"portfolio winner: {portfolio['winner']}")
-            for name in names:
-                entry = portfolio["attacks"][name]
-                status = entry["status"]
-                if entry.get("cancelled"):
-                    status += " (cancelled)"
-                print(f"  {name:14s} {status}")
-        else:
-            if oracle is None and get_attack(args.attack).requires_oracle:
-                parser.error(f"the {args.attack} attack requires --oracle")
-            result = run_attack(args.attack, locked, oracle, config)
+    locked = read_bench(args.netlist)
+    oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
+    config = AttackConfig(
+        h=args.h,
+        time_limit=args.time_limit,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        checkpoint_path=args.checkpoint,
+    )
+    if names is not None:
+        result = run_portfolio(names, locked, oracle, config)
+        portfolio = result.details["portfolio"]
+        print(f"portfolio winner: {portfolio['winner']}")
+        for name in names:
+            print(f"  {name:14s} {portfolio['attacks'][name]['status']}")
+    else:
+        if oracle is None and get_attack(args.attack).requires_oracle:
+            parser.error(f"the {args.attack} attack requires --oracle")
+        result = run_attack(args.attack, locked, oracle, config)
     print(result.summary())
     if result.key is not None:
         print("key:", "".join(str(b) for b in result.key))

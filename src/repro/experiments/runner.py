@@ -13,8 +13,8 @@ engine and classifies the outcome with the defender-side ground truth:
 
 The module also provides the process-parallel suite driver:
 :func:`run_suite` maps :class:`SuiteTask` cells onto the persistent
-worker pool of :mod:`repro.circuit.sharding`, which the attack
-portfolio racer shares. Every task carries its own
+worker pool of :mod:`repro.circuit.sharding`, the pool's only
+consumer. Every task carries its own
 deterministic seeds (the benchmark is rebuilt inside the worker from
 the profile seed + lock seed) and names its attack by registry name, so
 a parallel sweep produces the same records as a sequential one —

@@ -11,7 +11,6 @@ for experiment bookkeeping only — the correct key.
 from repro.locking.base import LockedCircuit, apply_key
 from repro.locking.ttlock import lock_ttlock
 from repro.locking.sfll import lock_sfll_hd
-from repro.locking.sfll_flex import lock_sfll_flex
 from repro.locking.rll import lock_random_xor
 from repro.locking.sarlock import lock_sarlock
 from repro.locking.antisat import lock_antisat
@@ -21,7 +20,6 @@ __all__ = [
     "apply_key",
     "lock_ttlock",
     "lock_sfll_hd",
-    "lock_sfll_flex",
     "lock_random_xor",
     "lock_sarlock",
     "lock_antisat",

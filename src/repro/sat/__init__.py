@@ -15,14 +15,7 @@ from repro.sat.cardinality import (
     encode_exactly,
     CARDINALITY_METHODS,
 )
-from repro.sat.encodings import (
-    encode_and,
-    encode_or,
-    encode_xor,
-    encode_xnor,
-    encode_equal_vectors,
-    encode_hamming_distance_equals,
-)
+from repro.sat.encodings import encode_xor, encode_hamming_distance_equals
 
 __all__ = [
     "Cnf",
@@ -33,10 +26,6 @@ __all__ = [
     "encode_at_least",
     "encode_exactly",
     "CARDINALITY_METHODS",
-    "encode_and",
-    "encode_or",
     "encode_xor",
-    "encode_xnor",
-    "encode_equal_vectors",
     "encode_hamming_distance_equals",
 ]

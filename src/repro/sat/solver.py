@@ -620,15 +620,3 @@ class Solver:
             raise SolverError("no model available (last solve was not SAT)")
         return {v: self._model[v] for v in range(1, self._num_vars + 1)}
 
-
-def solve_cnf(
-    cnf: Cnf,
-    assumptions: Iterable[int] = (),
-    budget: Budget | None = None,
-) -> tuple[SolveStatus, dict[int, bool] | None]:
-    """One-shot convenience: solve a :class:`Cnf`, return status + model."""
-    solver = Solver()
-    solver.add_cnf(cnf)
-    status = solver.solve(assumptions=assumptions, budget=budget)
-    model = solver.model_dict() if status is SolveStatus.SAT else None
-    return status, model

@@ -1,4 +1,4 @@
-"""Engine lifecycle tests: checkpoint/resume and portfolio racing.
+"""Engine lifecycle tests: checkpoint/resume and portfolios.
 
 The acceptance contract for checkpoints is *bit-exactness*: a run
 interrupted at iteration k and resumed must recover the identical key
@@ -21,6 +21,7 @@ from repro.attacks.checkpoint import CheckpointError, load_checkpoint
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
+from repro.circuit import sharding
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import (
@@ -176,7 +177,7 @@ class TestPortfolio:
         original, locked = _benchmark("ttlock")
         result = run_portfolio(
             ["fall", "sat", "appsat"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=1,
+            AttackConfig(time_limit=_TIME_LIMIT),
         )
         assert result.status is AttackStatus.SUCCESS
         portfolio = result.details["portfolio"]
@@ -185,14 +186,14 @@ class TestPortfolio:
         assert portfolio["attacks"]["sat"]["status"] == "skipped"
         assert portfolio["attacks"]["appsat"]["status"] == "skipped"
 
-    def test_parallel_race_with_two_workers(self):
-        """SARLock: fall fails, appsat escapes early — appsat must win
-        and the portfolio must remain deterministic given seeds."""
+    def test_failed_attack_runs_on_to_the_next(self):
+        """SARLock: fall fails, appsat concludes — appsat must win, and
+        the portfolio must repeat given seeds."""
         original, locked = _benchmark("sarlock")
         results = [
             run_portfolio(
                 ["fall", "appsat"], locked.circuit, IOOracle(original),
-                AttackConfig(time_limit=_TIME_LIMIT), jobs=2,
+                AttackConfig(time_limit=_TIME_LIMIT),
             )
             for _ in range(2)
         ]
@@ -203,22 +204,23 @@ class TestPortfolio:
                 == "failed"
         assert results[0].key == results[1].key
 
-    def test_parallel_race_cancels_the_slow_racer(self):
-        """The ~2^k-query SAT attack on SARLock must be cancelled once
-        AppSAT concludes (cooperative cancellation through the budget)."""
+    def test_winner_does_not_depend_on_jobs(self, monkeypatch):
+        """With two workers configured, the first-listed SAT attack still
+        runs to its exact key, AppSAT never starts, and the process pool
+        stays down."""
         original, locked = _benchmark("sarlock")
+        monkeypatch.setenv(sharding.ENV_JOBS, "2")
+        sharding.shutdown_pool()
         result = run_portfolio(
             ["sat", "appsat"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=2,
+            AttackConfig(time_limit=_TIME_LIMIT),
         )
-        assert result.details["portfolio"]["winner"] == "appsat"
-        sat_entry = result.details["portfolio"]["attacks"]["sat"]
-        # Either the cancel landed mid-CEGIS (the expected path) or SAT
-        # finished its 2^k grind first; both end the race conclusively,
-        # but it must never run to its own time limit.
-        assert sat_entry["status"] in ("timeout", "success")
-        if sat_entry["status"] == "timeout":
-            assert sat_entry["cancelled"]
+        portfolio = result.details["portfolio"]
+        assert portfolio["winner"] == "sat"
+        assert portfolio["attacks"]["appsat"]["status"] == "skipped"
+        assert result.status is AttackStatus.SUCCESS
+        assert result.key == locked.reveal_correct_key()
+        assert not sharding.pool_is_running()
 
     def test_unknown_and_duplicate_names_rejected_up_front(self):
         original, locked = _benchmark("ttlock")
@@ -233,7 +235,7 @@ class TestPortfolio:
         # portfolio should return a FAILED result rather than raising.
         result = run_portfolio(
             ["fall", "sps"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=1,
+            AttackConfig(time_limit=_TIME_LIMIT),
         )
         assert result.status is AttackStatus.FAILED
         assert result.details["portfolio"]["conclusive"] is False

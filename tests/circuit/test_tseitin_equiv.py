@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.equivalence import check_equivalence, check_outputs_equal
+from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
 from repro.circuit.library import c17, paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
@@ -183,15 +183,6 @@ class TestEquivalence:
         b = b.renamed({}, name="a")
         result = check_equivalence(a, b, budget=Budget(0.0))
         assert result.equivalent is None
-
-    def test_check_outputs_equal_same_node(self):
-        circuit = paper_example_circuit()
-        assert check_outputs_equal(circuit, "y", "y").proved
-
-    def test_check_outputs_equal_distinct(self):
-        circuit = paper_example_circuit()
-        result = check_outputs_equal(circuit, "ab", "bc")
-        assert result.refuted
 
 
 @settings(max_examples=15, deadline=None)

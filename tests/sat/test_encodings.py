@@ -1,4 +1,4 @@
-"""Tests for the gate-level CNF encodings."""
+"""Tests for the XOR and Hamming-distance CNF encodings."""
 
 from __future__ import annotations
 
@@ -9,17 +9,9 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError
 from repro.sat.cnf import Cnf
 from repro.sat.encodings import (
-    assert_equal,
-    assert_vector_equals_const,
-    encode_and,
     encode_difference_bits,
-    encode_equal_vectors,
     encode_hamming_distance_equals,
-    encode_ite,
-    encode_or,
-    encode_xnor,
     encode_xor,
-    encode_xor_many,
 )
 from repro.sat.solver import Solver, SolveStatus
 
@@ -35,53 +27,8 @@ def _truth_table(cnf: Cnf, inputs: list[int], out: int) -> list[bool]:
         solver.add_cnf(cnf)
         status = solver.solve(assumptions=assumptions)
         assert status is SolveStatus.SAT
-        var = out if out > 0 else -out
-        value = solver.model_value(var)
-        table.append(value if out > 0 else not value)
+        table.append(solver.model_value(out))
     return table
-
-
-class TestAnd:
-    def test_two_input(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_and(cnf, [a, b])
-        assert _truth_table(cnf, [a, b], out) == [False, False, False, True]
-
-    def test_three_input(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(3)
-        out = encode_and(cnf, xs)
-        table = _truth_table(cnf, xs, out)
-        assert table == [False] * 7 + [True]
-
-    def test_single_literal_passthrough(self):
-        cnf = Cnf()
-        a = cnf.new_var()
-        assert encode_and(cnf, [a]) == a
-        assert cnf.num_clauses == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_and(Cnf(), [])
-
-    def test_negated_inputs(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_and(cnf, [-a, -b])  # NOR
-        assert _truth_table(cnf, [a, b], out) == [True, False, False, False]
-
-
-class TestOr:
-    def test_two_input(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_or(cnf, [a, b])
-        assert _truth_table(cnf, [a, b], out) == [False, True, True, True]
-
-    def test_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_or(Cnf(), [])
 
 
 class TestXor:
@@ -91,78 +38,8 @@ class TestXor:
         out = encode_xor(cnf, a, b)
         assert _truth_table(cnf, [a, b], out) == [False, True, True, False]
 
-    def test_xnor(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_xnor(cnf, a, b)
-        assert _truth_table(cnf, [a, b], out) == [True, False, False, True]
-
-    def test_xor_many_parity(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(4)
-        out = encode_xor_many(cnf, xs)
-        table = _truth_table(cnf, xs, out)
-        for pattern in range(16):
-            assert table[pattern] == (bin(pattern).count("1") % 2 == 1)
-
-    def test_xor_many_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_xor_many(Cnf(), [])
-
-
-class TestIte:
-    def test_truth_table(self):
-        cnf = Cnf()
-        c, t, e = cnf.new_vars(3)
-        out = encode_ite(cnf, c, t, e)
-        table = _truth_table(cnf, [c, t, e], out)
-        # pattern bit0=c, bit1=t, bit2=e
-        for pattern in range(8):
-            cond = bool(pattern & 1)
-            then = bool(pattern & 2)
-            els = bool(pattern & 4)
-            assert table[pattern] == (then if cond else els)
-
 
 class TestVectorHelpers:
-    def test_assert_equal(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        assert_equal(cnf, a, b)
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve(assumptions=[a, -b]) is SolveStatus.UNSAT
-        assert solver.solve(assumptions=[a, b]) is SolveStatus.SAT
-
-    def test_assert_vector_equals_const(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(3)
-        assert_vector_equals_const(cnf, xs, [1, 0, 1])
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve() is SolveStatus.SAT
-        assert [solver.model_value(x) for x in xs] == [True, False, True]
-
-    def test_assert_vector_width_mismatch(self):
-        cnf = Cnf()
-        with pytest.raises(EncodingError):
-            assert_vector_equals_const(cnf, cnf.new_vars(2), [1])
-
-    def test_equal_vectors(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(2)
-        ys = cnf.new_vars(2)
-        out = encode_equal_vectors(cnf, xs, ys)
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve(assumptions=[xs[0], -xs[1], ys[0], -ys[1], out]) is SolveStatus.SAT
-        assert solver.solve(assumptions=[xs[0], -ys[0], out]) is SolveStatus.UNSAT
-
-    def test_equal_vectors_width_mismatch(self):
-        cnf = Cnf()
-        with pytest.raises(EncodingError):
-            encode_equal_vectors(cnf, cnf.new_vars(2), cnf.new_vars(3))
-
     def test_difference_bits(self):
         cnf = Cnf()
         xs = cnf.new_vars(2)

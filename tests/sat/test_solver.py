@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
 from repro.sat.dpll import dpll_solve
-from repro.sat.solver import Solver, SolveStatus, _luby, solve_cnf
+from repro.sat.solver import Solver, SolveStatus, _luby
 from repro.utils.timer import Budget
 
 from tests.conftest import cnf_strategy, random_cnf
@@ -191,9 +191,10 @@ class TestHarderInstances:
     def test_php_sat_variant(self):
         # n pigeons into n holes is satisfiable.
         cnf = _pigeonhole_cnf(holes=5, pigeons=5)
-        status, model = solve_cnf(cnf)
-        assert status is SolveStatus.SAT
-        assert cnf.evaluate(model)
+        solver = Solver()
+        solver.add_cnf(cnf)
+        assert solver.solve() is SolveStatus.SAT
+        check_model(cnf, solver)
 
     def test_random_3sat_batch(self):
         rng = random.Random(7)

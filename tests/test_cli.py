@@ -247,19 +247,26 @@ class TestAttackCommand:
 
 
 class TestJobsFlag:
-    """--jobs / REPRO_SIM_JOBS parsing on the attack + experiment CLIs."""
+    """--jobs / REPRO_SIM_JOBS parsing on the experiments CLI."""
 
     @pytest.fixture
-    def locked_file(self, bench_file, tmp_path, capsys):
-        locked_path = tmp_path / "locked.bench"
-        main_lock(
-            [str(bench_file), str(locked_path), "--scheme", "ttlock"]
-        )
-        capsys.readouterr()
-        return locked_path
+    def summary_env(self, monkeypatch):
+        """Stub the summary artifact; record REPRO_SIM_JOBS as it runs."""
+        import os
+
+        from repro.experiments import summary
+
+        seen = []
+
+        def fake_main(csv_path=None):
+            seen.append(os.environ.get(ENV_JOBS))
+            return "summary"
+
+        monkeypatch.setattr(summary, "main", fake_main)
+        return seen
 
     def test_jobs_flag_publishes_env_for_the_run_only(
-        self, locked_file, bench_file, monkeypatch, capsys
+        self, summary_env, monkeypatch, capsys
     ):
         import os
 
@@ -274,38 +281,34 @@ class TestJobsFlag:
         # so one command's --jobs never leaks into later in-process
         # calls.
         monkeypatch.setenv(ENV_JOBS, "3")
-        code = main_attack(
-            [str(locked_file), "--oracle", str(bench_file), "--jobs", "1"]
-        )
-        assert code == 0
+        assert main_experiments(["summary", "--jobs", "1"]) == 0
+        assert summary_env == ["1"]
         assert os.environ[ENV_JOBS] == "3"
 
-    def test_jobs_auto_accepted(
-        self, locked_file, bench_file, monkeypatch, capsys
-    ):
+    def test_jobs_auto_accepted(self, summary_env, monkeypatch, capsys):
         monkeypatch.delenv(ENV_JOBS, raising=False)
-        assert main_attack(
-            [str(locked_file), "--oracle", str(bench_file),
-             "--jobs", "auto"]
-        ) == 0
+        assert main_experiments(["summary", "--jobs", "auto"]) == 0
+        assert summary_env == ["auto"]
 
     @pytest.mark.parametrize("bad", ["0", "-2", "banana", "1.5"])
     def test_invalid_jobs_flag_is_a_usage_error(
-        self, locked_file, bad, capsys
+        self, summary_env, bad, capsys
     ):
         with pytest.raises(SystemExit) as excinfo:
-            main_attack([str(locked_file), "--jobs", bad])
+            main_experiments(["summary", "--jobs", bad])
         assert excinfo.value.code == 2
         assert "jobs" in capsys.readouterr().err
+        assert summary_env == []
 
     def test_invalid_env_jobs_is_a_usage_error(
-        self, locked_file, monkeypatch, capsys
+        self, summary_env, monkeypatch, capsys
     ):
         monkeypatch.setenv(ENV_JOBS, "many")
         with pytest.raises(SystemExit) as excinfo:
-            main_attack([str(locked_file)])
+            main_experiments(["summary"])
         assert excinfo.value.code == 2
         assert "invalid jobs value" in capsys.readouterr().err
+        assert summary_env == []
 
     def test_experiments_parser_validates_jobs(self, capsys, monkeypatch):
         monkeypatch.delenv(ENV_JOBS, raising=False)
@@ -313,11 +316,16 @@ class TestJobsFlag:
             main_experiments(["summary", "--jobs", "zero"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("main", [main_attack, main_experiments])
-    def test_help_documents_jobs(self, main, capsys):
+    def test_help_documents_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--help"])
+            main_experiments(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "--jobs" in out
         assert "REPRO_SIM_JOBS" in out
+
+    def test_attack_command_has_no_jobs_flag(self, bench_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(bench_file), "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
