@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.appsat import appsat_attack
+from repro.attacks.double_dip import double_dip_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.attacks.sat_attack import sat_attack
@@ -154,7 +156,7 @@ class TestAttackResultPlumbing:
 
 
 class TestSearchIsPinned:
-    """Golden solver counters of two SAT-attack runs.
+    """Golden solver counters of the CEGIS attacks and the CEC miter.
 
     Encoding and solver speed-ups must leave every clause, variable
     number and decision alone; these counters move if one does. A change
@@ -190,3 +192,51 @@ class TestSearchIsPinned:
             "conflicts": 0, "decisions": 0, "propagations": 701,
             "restarts": 0, "solve_calls": 1,
         }
+
+    def test_double_dip_sfll(self):
+        # Double DIP's key here is wrong on the protected cube by design
+        # (it stops once no input rules out two keys at a time).
+        original = generate_random_circuit("pin", 12, 3, 80, seed=5)
+        locked = lock_sfll_hd(original, key_width=8, h=1, seed=5)
+        result = double_dip_attack(locked.circuit, IOOracle(original))
+        assert result.iterations == 13
+        assert result.oracle_queries == 13
+        assert result.key == (0, 1, 1, 0, 1, 1, 1, 1)
+        assert result.details["solver"] == {
+            "conflicts": 695, "decisions": 2403, "propagations": 427711,
+            "restarts": 2, "solve_calls": 14,
+        }
+        assert result.details["key_solver"] == {
+            "conflicts": 5, "decisions": 13, "propagations": 1065,
+            "restarts": 0, "solve_calls": 1,
+        }
+
+    def test_appsat_sarlock(self):
+        original = generate_random_circuit("pin", 12, 3, 80, seed=5)
+        locked = lock_sarlock(original, key_width=6, seed=5)
+        result = appsat_attack(locked.circuit, IOOracle(original))
+        assert result.iterations == 16
+        assert result.oracle_queries == 272
+        assert result.details["approximate"] is True
+        assert result.details["solver"] == {
+            "conflicts": 25, "decisions": 319, "propagations": 14820,
+            "restarts": 0, "solve_calls": 16,
+        }
+        assert result.details["key_solver"] == {
+            "conflicts": 2, "decisions": 22, "propagations": 505,
+            "restarts": 0, "solve_calls": 4,
+        }
+
+    def test_equivalence_counterexample(self):
+        original = generate_random_circuit("pin", 12, 3, 80, seed=5)
+        locked = lock_ttlock(original, key_width=8, seed=5)
+        wrong = [1 - bit for bit in locked.reveal_correct_key()]
+        outcome = check_equivalence(
+            locked.circuit,
+            original,
+            fixed_left=locked.key_assignment(wrong),
+        )
+        assert outcome.refuted
+        assert [outcome.counterexample[f"x{i}"] for i in range(12)] == [
+            1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0,
+        ]
