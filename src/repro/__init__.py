@@ -19,7 +19,7 @@ Typical entry points:
 Subpackages
 -----------
 ``repro.sat``
-    CDCL solver, CNF container, DIMACS I/O, cardinality encodings.
+    CDCL solver, CNF container, XOR and cardinality encodings.
 ``repro.circuit``
     Netlist DAG, simulation, Tseitin encoding, CEC, AIG/strash,
     synthetic benchmark generation, known circuits.

@@ -20,7 +20,10 @@ what distinguishes the two UNSAT outcomes — impossible in the original
 single-solver SAT attack — and restricting the search to φ is what
 makes the attack cheap even on SAT-attack-resilient circuits.
 
-With φ = true the algorithm devolves into the standard SAT attack.
+With φ = true the algorithm devolves into the standard SAT attack, and
+it is built from the same CEGIS core (:mod:`repro.attacks.sat_attack`):
+Q is the SAT attack's miter, P and Q learn each observation through the
+same I/O constraint, and the oracle is checked the same way.
 
 Implementation notes (how the measured Figure 6 behaviour is achieved;
 see EXPERIMENTS.md E6 for the full discussion):
@@ -58,10 +61,16 @@ from collections.abc import Sequence
 from repro.attacks.base import TelemetryRecorder, telemetry_or_null
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
+from repro.attacks.sat_attack import (
+    ConstrainedSolver,
+    check_oracle,
+    encode_miter,
+)
 from repro.circuit.circuit import Circuit
-from repro.circuit.tseitin import encode_circuit, encode_under_assignment
+from repro.circuit.tseitin import encode_under_assignment
 from repro.errors import AttackError
 from repro.sat.cnf import Cnf
+from repro.sat.encodings import encode_xor
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget, Stopwatch
 
@@ -130,11 +139,8 @@ def key_confirmation(
     """
     stopwatch = Stopwatch()
     telemetry = telemetry_or_null(telemetry)
+    check_oracle(locked, oracle)
     key_names = locked.key_inputs
-    input_names = locked.circuit_inputs
-    output_names = locked.outputs
-    if not key_names:
-        raise AttackError("circuit has no key inputs to attack")
     queries_before = oracle.query_count
     has_phi = candidates is not None
 
@@ -143,27 +149,10 @@ def key_confirmation(
     p_key_vars = {name: p_cnf.new_var() for name in key_names}
     if has_phi:
         encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
-    p_solver = Solver()
-    p_solver.add_cnf(p_cnf)
-    p_watermark = len(p_cnf.clauses)
+    p = ConstrainedSolver(locked, p_cnf, [p_key_vars])
 
-    # Q: distinguishing-input generator (double instantiation + miter).
-    q_cnf = Cnf()
-    x_vars = {name: q_cnf.new_var() for name in input_names}
-    k1_vars = {name: q_cnf.new_var() for name in key_names}
-    k2_vars = {name: q_cnf.new_var() for name in key_names}
-    enc1 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k1_vars})
-    enc2 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k2_vars})
-    miter_bits = []
-    for out in output_names:
-        bit = q_cnf.new_var()
-        a, b = enc1.lit(out), enc2.lit(out)
-        q_cnf.add_clause([-bit, a, b])
-        q_cnf.add_clause([-bit, -a, -b])
-        q_cnf.add_clause([bit, -a, b])
-        q_cnf.add_clause([bit, a, -b])
-        miter_bits.append(bit)
-    q_cnf.add_clause(miter_bits)
+    # Q: distinguishing-input generator (the SAT attack's miter).
+    q_cnf, x_vars, (k1_vars, k2_vars) = encode_miter(locked)
     # Tier-1 guard: when assumed true, K2 must be a shortlist member.
     phi2_guard = None
     if has_phi:
@@ -171,9 +160,7 @@ def key_confirmation(
         encode_key_shortlist(
             q_cnf, k2_vars, key_names, candidates, guard=phi2_guard
         )
-    q_solver = Solver(random_phase=0.2)
-    q_solver.add_cnf(q_cnf)
-    q_watermark = len(q_cnf.clauses)
+    q = ConstrainedSolver(locked, q_cnf, [k2_vars], random_phase=0.2)
 
     probes_used = 0
     verification = "phi-relative" if has_phi else "exact"
@@ -189,8 +176,8 @@ def key_confirmation(
             oracle_queries=oracle.query_count - queries_before,
             iterations=iterations,
             details={
-                "p_solver": p_solver.stats.as_dict(),
-                "q_solver": q_solver.stats.as_dict(),
+                "p_solver": p.solver.stats.as_dict(),
+                "q_solver": q.solver.stats.as_dict(),
                 "probes": probes_used,
                 "verification": verification if key is not None else None,
             },
@@ -200,23 +187,8 @@ def key_confirmation(
         pattern: dict[str, int], observed: dict[str, int]
     ) -> None:
         """P_{i+1} = P_i ∧ C(Xd, K1, Yd); Q_{i+1} = Q_i ∧ C(Xd, K2, Yd)."""
-        nonlocal p_watermark, q_watermark
-        enc = encode_under_assignment(
-            locked, p_cnf, fixed=pattern, shared_vars=p_key_vars
-        )
-        for out in output_names:
-            enc.assert_node_equals(out, observed[out])
-        for clause in p_cnf.clauses[p_watermark:]:
-            p_solver.add_clause(clause)
-        p_watermark = len(p_cnf.clauses)
-        enc = encode_under_assignment(
-            locked, q_cnf, fixed=pattern, shared_vars=k2_vars
-        )
-        for out in output_names:
-            enc.assert_node_equals(out, observed[out])
-        for clause in q_cnf.clauses[q_watermark:]:
-            q_solver.add_clause(clause)
-        q_watermark = len(q_cnf.clauses)
+        p.constrain(pattern, observed)
+        q.constrain(pattern, observed)
 
     # Probe mining (module docstring note 1). Mining is independent of
     # the observations, so all probes are collected first and replayed
@@ -241,15 +213,12 @@ def key_confirmation(
         if max_iterations is not None and iteration >= max_iterations:
             return result(AttackStatus.TIMEOUT, iterations=iteration)
 
-        p_status = p_solver.solve(budget=budget)
+        p_status, candidate = p.solve_key(budget)
         if p_status is SolveStatus.UNKNOWN:
             return result(AttackStatus.TIMEOUT, iterations=iteration)
         if p_status is SolveStatus.UNSAT:
             # ⊥: no key satisfying φ is consistent with the oracle.
             return result(AttackStatus.FAILED, iterations=iteration)
-        candidate = tuple(
-            int(p_solver.model_value(p_key_vars[n])) for n in key_names
-        )
         k1_assumptions = [
             k1_vars[n] if bit else -k1_vars[n]
             for n, bit in zip(key_names, candidate)
@@ -257,17 +226,14 @@ def key_confirmation(
 
         # Tier 1: distinguish the candidate from other φ members.
         if has_phi:
-            q_status = q_solver.solve(
+            q_status = q.solver.solve(
                 assumptions=k1_assumptions + [phi2_guard], budget=budget
             )
             if q_status is SolveStatus.UNKNOWN:
                 return result(AttackStatus.TIMEOUT, iterations=iteration)
             if q_status is SolveStatus.SAT:
                 iteration += 1
-                distinguishing = {
-                    name: int(q_solver.model_value(var))
-                    for name, var in x_vars.items()
-                }
+                distinguishing = q.model(x_vars)
                 absorb_observation(distinguishing, oracle.query(distinguishing))
                 telemetry.iteration(
                     "tier1",
@@ -278,7 +244,7 @@ def key_confirmation(
             # UNSAT: no φ rival distinguishes itself from the candidate.
 
         # Tier 2: attempt the unrestricted Lemma 4 certificate.
-        q_status = q_solver.solve(
+        q_status = q.solver.solve(
             assumptions=k1_assumptions,
             budget=budget,
             conflict_limit=certify_conflicts if has_phi else None,
@@ -301,9 +267,7 @@ def key_confirmation(
         # even refute the candidate), but bound how long we chase the
         # exponential tail of point-corruption schemes.
         iteration += 1
-        distinguishing = {
-            name: int(q_solver.model_value(var)) for name, var in x_vars.items()
-        }
+        distinguishing = q.model(x_vars)
         absorb_observation(distinguishing, oracle.query(distinguishing))
         telemetry.iteration(
             "tier2",
@@ -314,19 +278,12 @@ def key_confirmation(
             certification_dis += 1
             if certification_dis >= _CERTIFY_MAX_DIS:
                 # Re-check the candidate is still alive in P, then accept.
-                p_status = p_solver.solve(budget=budget)
-                if p_status is SolveStatus.SAT:
-                    survivor = tuple(
-                        int(p_solver.model_value(p_key_vars[n]))
-                        for n in key_names
+                _, survivor = p.solve_key(budget)
+                if survivor == candidate:
+                    verification = "phi-relative"
+                    return result(
+                        AttackStatus.SUCCESS, key=candidate, iterations=iteration
                     )
-                    if survivor == candidate:
-                        verification = "phi-relative"
-                        return result(
-                            AttackStatus.SUCCESS,
-                            key=candidate,
-                            iterations=iteration,
-                        )
                 certification_dis = 0
 
 
@@ -395,13 +352,9 @@ def _mine_probes(
                 lit = enc_a.lits[out]
                 diff_lits.append(-lit if b_const else lit)
             else:
-                fresh = cnf.new_var()
-                a, b = enc_a.lits[out], enc_b.lits[out]
-                cnf.add_clause([-fresh, a, b])
-                cnf.add_clause([-fresh, -a, -b])
-                cnf.add_clause([fresh, -a, b])
-                cnf.add_clause([fresh, a, -b])
-                diff_lits.append(fresh)
+                diff_lits.append(
+                    encode_xor(cnf, enc_a.lits[out], enc_b.lits[out])
+                )
         if not always_different:
             if not diff_lits:
                 continue  # the two keys are functionally identical

@@ -16,6 +16,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.tseitin import encode_circuit
 from repro.errors import CircuitError
 from repro.sat.cnf import Cnf
+from repro.sat.encodings import encode_difference_bits
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget
 
@@ -79,17 +80,11 @@ def check_equivalence(
     for name, value in fixed_right.items():
         cnf.add_clause([right_enc.lit(name, positive=bool(value))])
 
-    miter_bits = []
-    for out_left, out_right in zip(left.outputs, right.outputs):
-        bit = cnf.new_var()
-        a = left_enc.lit(out_left)
-        b = right_enc.lit(out_right)
-        cnf.add_clause([-bit, a, b])
-        cnf.add_clause([-bit, -a, -b])
-        cnf.add_clause([bit, -a, b])
-        cnf.add_clause([bit, a, -b])
-        miter_bits.append(bit)
-    cnf.add_clause(miter_bits)
+    cnf.add_clause(
+        encode_difference_bits(
+            cnf, left_enc.lits(left.outputs), right_enc.lits(right.outputs)
+        )
+    )
 
     solver = Solver()
     solver.add_cnf(cnf)

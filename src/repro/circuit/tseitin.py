@@ -37,9 +37,6 @@ class CircuitEncoding:
     def lits(self, nodes: Sequence[str]) -> list[int]:
         return [self.lit(n) for n in nodes]
 
-    def output_lits(self, circuit: Circuit) -> list[int]:
-        return self.lits(list(circuit.outputs))
-
 
 def encode_circuit(
     circuit: Circuit,

@@ -24,7 +24,7 @@ class CircuitError(ReproError):
 
 
 class ParseError(ReproError):
-    """Malformed input file (.bench netlist, DIMACS CNF)."""
+    """Malformed input file (.bench netlist)."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:

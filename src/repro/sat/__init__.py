@@ -2,7 +2,7 @@
 
 This subpackage replaces the Lingeling solver used by the paper's
 prototype with a self-contained CDCL implementation, plus the CNF
-plumbing (DIMACS I/O, Tseitin-style gate encodings, cardinality
+plumbing (XOR difference bits, Hamming-distance and cardinality
 constraints) that the FALL analyses and the SAT attack are built on.
 """
 

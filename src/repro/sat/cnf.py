@@ -1,4 +1,4 @@
-"""CNF formula container with DIMACS I/O.
+"""CNF formula container.
 
 A :class:`Cnf` is a mutable clause database plus a variable counter. It is
 the interchange format between the circuit encoder (:mod:`repro.circuit.
@@ -8,11 +8,9 @@ non-zero signed ints (DIMACS convention).
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterable
-from pathlib import Path
 
-from repro.errors import ParseError, SolverError
+from repro.errors import SolverError
 from repro.sat.literals import check_literal, var_of
 
 
@@ -86,61 +84,6 @@ class Cnf:
             if not satisfied:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    # DIMACS serialization
-    # ------------------------------------------------------------------
-    def to_dimacs(self) -> str:
-        """Render in DIMACS CNF format."""
-        out = io.StringIO()
-        out.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-        for clause in self.clauses:
-            out.write(" ".join(str(l) for l in clause))
-            out.write(" 0\n")
-        return out.getvalue()
-
-    def write_dimacs(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_dimacs())
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "Cnf":
-        """Parse DIMACS CNF text (comments and header tolerated)."""
-        cnf = cls()
-        declared_vars = None
-        pending: list[int] = []
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ParseError(f"bad DIMACS header {line!r}", line_no)
-                try:
-                    declared_vars = int(parts[2])
-                    int(parts[3])
-                except ValueError as exc:
-                    raise ParseError(f"bad DIMACS header {line!r}", line_no) from exc
-                continue
-            for token in line.split():
-                try:
-                    lit = int(token)
-                except ValueError as exc:
-                    raise ParseError(f"bad literal {token!r}", line_no) from exc
-                if lit == 0:
-                    cnf.add_clause(pending)
-                    pending = []
-                else:
-                    pending.append(lit)
-        if pending:
-            raise ParseError("final clause not terminated by 0")
-        if declared_vars is not None and declared_vars > cnf.num_vars:
-            cnf.num_vars = declared_vars
-        return cnf
-
-    @classmethod
-    def read_dimacs(cls, path: str | Path) -> "Cnf":
-        return cls.from_dimacs(Path(path).read_text())
 
     def __repr__(self) -> str:
         return f"Cnf(num_vars={self.num_vars}, num_clauses={self.num_clauses})"

@@ -3,6 +3,9 @@
 The FALL functional analyses (Distance2H and SlidingWindow) constrain
 the Hamming distance between two input vectors; these helpers build
 that constraint from XOR difference bits and a cardinality encoding.
+The same difference bits build the output miters of the oracle-guided
+attacks (:mod:`repro.attacks.sat_attack`) and of
+:func:`~repro.circuit.equivalence.check_equivalence`.
 Each ``encode_*`` helper allocates fresh variables in the given
 :class:`~repro.sat.cnf.Cnf` and appends the defining clauses. The gate
 encoders of the circuit layer live in :mod:`repro.circuit.tseitin`.

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.appsat import appsat_attack
+from repro.attacks.base import AttackConfig
 from repro.attacks.double_dip import double_dip_attack
+from repro.attacks.engine import run_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.attacks.sat_attack import sat_attack
@@ -129,6 +131,43 @@ class TestSatAttack:
         assert result.status is AttackStatus.SUCCESS
         unlocked = locked.unlocked_with(result.key)
         assert check_equivalence(original, unlocked).proved
+
+
+def _oracle_with_inputs(original, drop=(), extra=()):
+    """An oracle whose circuit pins ``drop`` to 0 and adds unused ``extra``."""
+    circuit = Circuit(original.name)
+    for node in original.nodes:
+        gate_type = original.gate_type(node)
+        if node in drop:
+            circuit.add_const(node, 0)
+        elif gate_type is GateType.INPUT:
+            circuit.add_input(node)
+        else:
+            circuit.add_gate(node, gate_type, original.fanins(node))
+    for name in extra:
+        circuit.add_input(name)
+    for output in original.outputs:
+        circuit.add_output(output)
+    return IOOracle(circuit)
+
+
+class TestOracleInputsChecked:
+    """Every oracle-guided family rejects a mismatched oracle up front."""
+
+    @pytest.mark.parametrize(
+        "attack", ["sat", "double-dip", "appsat", "key-confirmation"]
+    )
+    @pytest.mark.parametrize(
+        "mismatch", [{"drop": ("x9",)}, {"extra": ("x10",)}], ids=["missing", "extra"]
+    )
+    def test_rejected_before_any_query(self, attack, mismatch):
+        original = generate_random_circuit("io", 10, 2, 60, seed=3)
+        locked = lock_ttlock(original, key_width=6, seed=3)
+        oracle = _oracle_with_inputs(original, **mismatch)
+        config = AttackConfig(candidates=(locked.reveal_correct_key(),))
+        with pytest.raises(AttackError, match="oracle inputs"):
+            run_attack(attack, locked.circuit, oracle, config)
+        assert oracle.query_count == 0
 
 
 class TestAttackResultPlumbing:

@@ -1,10 +1,10 @@
-"""Tests for the CNF container and DIMACS I/O."""
+"""Tests for the CNF container."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParseError, SolverError
+from repro.errors import SolverError
 from repro.sat.cnf import Cnf
 
 
@@ -74,53 +74,3 @@ class TestEvaluate:
 
     def test_empty_formula_is_true(self):
         assert Cnf().evaluate({})
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = Cnf()
-        cnf.add_clause([1, -2, 3])
-        cnf.add_clause([-3])
-        text = cnf.to_dimacs()
-        back = Cnf.from_dimacs(text)
-        assert back.num_vars == cnf.num_vars
-        assert back.clauses == cnf.clauses
-
-    def test_header_line(self):
-        cnf = Cnf()
-        cnf.add_clause([1, 2])
-        assert cnf.to_dimacs().splitlines()[0] == "p cnf 2 1"
-
-    def test_parse_with_comments(self):
-        text = "c a comment\np cnf 3 1\n1 -3 0\n"
-        cnf = Cnf.from_dimacs(text)
-        assert cnf.num_vars == 3
-        assert cnf.clauses == [(1, -3)]
-
-    def test_parse_clause_spanning_lines(self):
-        text = "p cnf 2 1\n1\n-2 0\n"
-        cnf = Cnf.from_dimacs(text)
-        assert cnf.clauses == [(1, -2)]
-
-    def test_parse_declared_vars_beyond_used(self):
-        cnf = Cnf.from_dimacs("p cnf 10 1\n1 0\n")
-        assert cnf.num_vars == 10
-
-    def test_unterminated_clause_rejected(self):
-        with pytest.raises(ParseError):
-            Cnf.from_dimacs("p cnf 2 1\n1 -2\n")
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ParseError):
-            Cnf.from_dimacs("p dnf 2 1\n1 0\n")
-
-    def test_bad_token_rejected(self):
-        with pytest.raises(ParseError):
-            Cnf.from_dimacs("p cnf 2 1\n1 x 0\n")
-
-    def test_file_roundtrip(self, tmp_path):
-        cnf = Cnf()
-        cnf.add_clause([1, 2])
-        path = tmp_path / "f.cnf"
-        cnf.write_dimacs(path)
-        assert Cnf.read_dimacs(path).clauses == cnf.clauses
