@@ -6,10 +6,9 @@ the functionality-restoration unit's comparators; they reveal the
 pairing between key inputs and circuit inputs, and the union of the
 paired circuit inputs feeds support-set matching (§III-B).
 
-The paper checks XOR/XNOR-ness with a SAT solver; a 2-input cone has
-exactly four input patterns, so exhaustive bit-parallel simulation of
-the cone is an exact and cheaper check. We implement simulation as the
-default and keep the SAT variant (tests assert they agree).
+The paper checks XOR/XNOR-ness with a SAT solver. A 2-input cone has
+exactly four input patterns, so we use exhaustive bit-parallel
+simulation of the cone instead: an exact and cheaper check.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from dataclasses import dataclass
 from repro.circuit.analysis import support_table
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import sweep_node_values
-from repro.circuit.tseitin import encode_circuit
-from repro.sat.cnf import Cnf
-from repro.sat.solver import Solver, SolveStatus
 
 _XOR_TABLE = 0b0110  # patterns (x,k) = 00,10,01,11 with x = bit 0
 _XNOR_TABLE = 0b1001
@@ -45,7 +41,6 @@ class Comparator:
 def find_comparators(
     locked: Circuit,
     supports: dict[str, frozenset[str]] | None = None,
-    use_sat: bool = False,
 ) -> list[Comparator]:
     """All comparator tuples Comp = {〈v_i, x_i, k_i〉, ...} in the netlist."""
     if supports is None:
@@ -64,11 +59,7 @@ def find_comparators(
         circuit_input = next(n for n in supp if n != key_input)
         candidates.append((node, circuit_input, key_input))
 
-    verdicts = (
-        [_classify_sat(locked, n, x, k) for n, x, k in candidates]
-        if use_sat
-        else _classify_sim_batch(locked, [n for n, _, _ in candidates])
-    )
+    verdicts = _classify_sim_batch(locked, [n for n, _, _ in candidates])
     comparators: list[Comparator] = []
     for (node, circuit_input, key_input), verdict in zip(
         candidates, verdicts
@@ -123,38 +114,3 @@ def _classify_sim_batch(
         else:
             verdicts.append(None)
     return verdicts
-
-
-def _classify_sat(
-    locked: Circuit, node: str, x: str, k: str
-) -> bool | None:
-    """SAT formulation from the paper: validity of cktfn_v ⇔ ±(x ⊕ k)."""
-    cnf = Cnf()
-    encoding = encode_circuit(locked, cnf, targets=[node])
-    v = encoding.lit(node)
-    xv = encoding.lit(x)
-    kv = encoding.lit(k)
-    solver = Solver()
-    solver.add_cnf(cnf)
-
-    def is_valid_equiv(negate: bool) -> bool:
-        # v ⇔ (x ⊕ k) is valid iff v ≠ (x ⊕ k) is UNSAT. Check the four
-        # violating combinations via assumptions.
-        for x_bit in (0, 1):
-            for k_bit in (0, 1):
-                xor = x_bit ^ k_bit
-                want_v = xor ^ (1 if negate else 0)
-                assumptions = [
-                    xv if x_bit else -xv,
-                    kv if k_bit else -kv,
-                    -v if want_v else v,  # assert v != expected
-                ]
-                if solver.solve(assumptions=assumptions) is SolveStatus.SAT:
-                    return False
-        return True
-
-    if is_valid_equiv(negate=False):
-        return False
-    if is_valid_equiv(negate=True):
-        return True
-    return None

@@ -28,7 +28,11 @@ from repro.attacks.fall.comparators import (
 )
 from repro.attacks.fall.distance2h import distance_2h
 from repro.attacks.fall.equivalence import confirm_cube
-from repro.attacks.fall.prefilter import passes_unateness_sim, strip_density
+from repro.attacks.fall.prefilter import (
+    density_polarities,
+    passes_unateness_sim,
+    strip_density,
+)
 from repro.attacks.fall.sliding_window import sliding_window
 from repro.attacks.base import TelemetryRecorder, telemetry_or_null
 from repro.attacks.fall.support_match import candidate_strip_nodes
@@ -45,8 +49,6 @@ from repro.utils.rng import make_rng
 from repro.utils.timer import Budget, Stopwatch
 
 _DENSITY_PATTERNS = 512
-_DENSITY_MARGIN = 2.0
-_MIN_DENSITY_THRESHOLD = 0.02
 
 KeyVector = tuple[int, ...]
 
@@ -153,9 +155,6 @@ def fall_attack(
         for node, word in zip(report.candidate_nodes, candidate_words)
     }
     expected_density = strip_density(m, h)
-    density_threshold = max(
-        _MIN_DENSITY_THRESHOLD, _DENSITY_MARGIN * expected_density
-    )
 
     def density_rank(node: str) -> tuple[float, str]:
         distance = min(
@@ -183,8 +182,7 @@ def fall_attack(
         candidate_budget = budget.sub(slice_seconds)
         cone = extract_cone(locked, node)
         if use_prefilter:
-            try_plain = density[node] <= density_threshold
-            try_complement = (1.0 - density[node]) <= density_threshold
+            try_plain, try_complement = density_polarities(density[node], m, h)
         else:
             try_plain = try_complement = True
         for polarity, variant in enumerate(_cone_polarities(cone)):

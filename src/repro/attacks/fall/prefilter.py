@@ -39,28 +39,15 @@ def strip_density(m: int, h: int) -> float:
     return comb(m, h) / (1 << m)
 
 
-def candidate_polarities(
-    cone: Circuit,
-    h: int,
-    patterns: int = 512,
-    seed: RngLike = 0,
-) -> tuple[bool, bool]:
+def density_polarities(density: float, m: int, h: int) -> tuple[bool, bool]:
     """(try_plain, try_complement) after the density test.
 
     The netlist may realize F or ¬F, so the pipeline analyses both
-    polarities; this test cheaply rules out polarities whose sampled
-    density is inconsistent with ``strip_h``.
+    polarities; a candidate's sampled ``density`` (its fraction of
+    ones) rules out each polarity whose density is inconsistent with
+    ``strip_h`` over ``m`` inputs.
     """
-    if len(cone.outputs) != 1:
-        raise AttackError("candidate_polarities expects a single-output cone")
-    rng = make_rng(seed)
-    inputs = list(cone.inputs)
-    values = {name: rng.getrandbits(patterns) for name in inputs}
-    (word,) = sweep_outputs(cone, values, width=patterns)
-    density = word.bit_count() / patterns
-    threshold = max(
-        _MIN_EXPECTED, _DENSITY_MARGIN * strip_density(len(inputs), h)
-    )
+    threshold = max(_MIN_EXPECTED, _DENSITY_MARGIN * strip_density(m, h))
     return density <= threshold, (1.0 - density) <= threshold
 
 

@@ -14,10 +14,9 @@ on one incremental solver.
 
 from __future__ import annotations
 
+from repro.attacks.fall.cone_pair import encode_cone_pair
 from repro.circuit.circuit import Circuit
-from repro.circuit.tseitin import encode_circuit
 from repro.errors import AttackError
-from repro.sat.cnf import Cnf
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget
 
@@ -35,16 +34,9 @@ def analyze_unateness(
     """
     if len(cone.outputs) != 1:
         raise AttackError("analyze_unateness expects a single-output cone")
-    output = cone.outputs[0]
     inputs = list(cone.inputs)
 
-    cnf = Cnf()
-    a_vars = {name: cnf.new_var() for name in inputs}
-    b_vars = {name: cnf.new_var() for name in inputs}
-    enc_a = encode_circuit(cone, cnf, shared_vars=a_vars)
-    enc_b = encode_circuit(cone, cnf, shared_vars=b_vars)
-    f_a = enc_a.lit(output)
-    f_b = enc_b.lit(output)
+    cnf, a_vars, b_vars, f_a, f_b = encode_cone_pair(cone)
     # Equality selectors: s_i forces a_i == b_i.
     selectors = {}
     for name in inputs:

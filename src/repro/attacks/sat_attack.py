@@ -11,7 +11,7 @@ The SAT attack, Double DIP, AppSAT and key confirmation are all built
 from the same pieces, which live here:
 
 - :func:`check_oracle` rejects a keyless netlist and an oracle whose
-  inputs are not the netlist's, before any query;
+  inputs or outputs are not the netlist's, before any query;
 - :func:`encode_miter` instantiates the netlist ``copies`` times over
   shared inputs X in one CNF and joins the copies with a miter (by
   default the SAT attack's ``Y1 ≠ Y2``);
@@ -56,11 +56,13 @@ Miter = Callable[[Cnf, list[list[int]], list[dict[str, int]]], None]
 
 
 def check_oracle(locked: Circuit, oracle: IOOracle) -> None:
-    """Reject a keyless netlist and an oracle with other inputs."""
+    """Reject a keyless netlist and an oracle with other inputs or outputs."""
     if not locked.key_inputs:
         raise AttackError("circuit has no key inputs to attack")
     if set(oracle.input_names) != set(locked.circuit_inputs):
         raise AttackError("oracle inputs do not match the locked netlist")
+    if set(oracle.output_names) != set(locked.outputs):
+        raise AttackError("oracle outputs do not match the locked netlist")
 
 
 def outputs_differ(cnf: Cnf, output_lits, key_sets) -> None:
@@ -91,7 +93,13 @@ def encode_miter(
 
 
 class ConstrainedSolver:
-    """A solver over ``cnf`` whose key-variable sets learn I/O pairs."""
+    """An incremental solver whose key-variable sets learn I/O pairs.
+
+    ``cnf`` only stages clauses on their way into the solver: the
+    initial formula and each :meth:`constrain` batch go in with one
+    :meth:`Solver.add_cnf` and are then dropped from ``cnf``, which
+    keeps its variable counter so later encodings number on from it.
+    """
 
     def __init__(
         self,
@@ -104,22 +112,23 @@ class ConstrainedSolver:
         self.cnf = cnf
         self.key_sets = key_sets
         self.solver = Solver(**solver_options)
-        self.solver.add_cnf(cnf)
+        self._load()
 
     def constrain(
         self, pattern: Mapping[str, int], observed: Mapping[str, int]
     ) -> None:
-        """Add ``C(pattern, K, observed)`` for every key-variable set K
-        and load only the clauses this added."""
-        start = len(self.cnf.clauses)
+        """Add ``C(pattern, K, observed)`` for every key-variable set K."""
         for key_vars in self.key_sets:
             enc = encode_under_assignment(
                 self.locked, self.cnf, fixed=pattern, shared_vars=key_vars
             )
             for out in self.locked.outputs:
                 enc.assert_node_equals(out, observed[out])
-        for clause in self.cnf.clauses[start:]:
-            self.solver.add_clause(clause)
+        self._load()
+
+    def _load(self) -> None:
+        self.solver.add_cnf(self.cnf)
+        self.cnf.clauses.clear()
 
     def model(self, variables: Mapping[str, int]) -> dict[str, int]:
         """The 0/1 value of each named variable in the last model."""

@@ -4,6 +4,11 @@ A :class:`Cnf` is a mutable clause database plus a variable counter. It is
 the interchange format between the circuit encoder (:mod:`repro.circuit.
 tseitin`), the cardinality encoders and the solvers. Clauses are tuples of
 non-zero signed ints (DIMACS convention).
+
+:meth:`Cnf.add_clause` is where encoder-built clauses are checked: it
+rejects invalid literals and raises ``num_vars`` to cover every variable
+used. :meth:`Solver.add_cnf <repro.sat.solver.Solver.add_cnf>` trusts
+both and loads the clauses without checking them again.
 """
 
 from __future__ import annotations

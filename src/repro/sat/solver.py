@@ -184,41 +184,59 @@ class Solver:
             raise SolverError("add_clause called while search is in progress")
         if not self._ok:
             return
-        internal: list[int] = []
-        for lit in lits:
-            check_literal(lit)
-            var = lit if lit > 0 else -lit
-            self._ensure_var(var)
-            internal.append(to_internal(lit))
-        # Dedupe, drop root-false literals, detect tautology/satisfied.
-        values = self._values
-        clause: list[int] = []
-        seen_lits: set[int] = set()
-        for ilit in internal:
-            if values[ilit] == _TRUE:
-                return  # satisfied at root level
-            if values[ilit] == _FALSE:
-                continue  # permanently false literal
-            if ilit ^ 1 in seen_lits:
-                return  # tautology
-            if ilit not in seen_lits:
-                seen_lits.add(ilit)
-                clause.append(ilit)
-        if not clause:
-            self._ok = False
-            return
-        if len(clause) == 1:
-            self._enqueue(clause[0], None)
-            if self._propagate() is not None:
-                self._ok = False
-            return
-        self._attach(clause)
+        clause = [check_literal(lit) for lit in lits]
+        for lit in clause:
+            self._ensure_var(lit if lit > 0 else -lit)
+        self._load((clause,))
 
     def add_cnf(self, cnf: Cnf) -> None:
-        """Load an entire :class:`Cnf` (variables are shared 1:1)."""
+        """Load every clause of ``cnf`` (variables are shared 1:1).
+
+        The bulk load for encoder-built clauses. :class:`Cnf` checked each
+        literal and counted ``num_vars`` when the clause was added, so
+        the clauses are trusted here: they are simplified and attached
+        exactly as :meth:`add_clause` would, without a second check.
+        """
+        if self._trail_lim:
+            raise SolverError("add_cnf called while search is in progress")
+        if not self._ok:
+            return
         self._ensure_var(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        self._load(cnf.clauses)
+
+    def _load(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Simplify each clause at the root level and attach it.
+
+        Literals must be valid and their variables allocated. Stops at
+        the first clause that makes the instance unsatisfiable.
+        """
+        values = self._values
+        for lits in clauses:
+            # Dedupe, drop root-false literals, detect tautology/satisfied.
+            clause: list[int] = []
+            seen_lits: set[int] = set()
+            for lit in lits:
+                ilit = lit << 1 if lit > 0 else ((-lit) << 1) | 1
+                value = values[ilit]
+                if value == _TRUE:
+                    break  # satisfied at root level
+                if value == _FALSE:
+                    continue  # permanently false literal
+                if ilit ^ 1 in seen_lits:
+                    break  # tautology
+                if ilit not in seen_lits:
+                    seen_lits.add(ilit)
+                    clause.append(ilit)
+            else:
+                if len(clause) > 1:
+                    self._attach(clause)
+                    continue
+                if clause:
+                    self._enqueue(clause[0], None)
+                    if self._propagate() is None:
+                        continue
+                self._ok = False
+                return
 
     @property
     def num_vars(self) -> int:

@@ -16,7 +16,7 @@ from repro.attacks.fall.comparators import (
 from repro.attacks.fall.distance2h import distance_2h
 from repro.attacks.fall.equivalence import build_strip_reference, confirm_cube
 from repro.attacks.fall.prefilter import (
-    candidate_polarities,
+    density_polarities,
     passes_unateness_sim,
     strip_density,
 )
@@ -83,14 +83,6 @@ class TestComparatorIdentification:
         comparators = find_comparators(locked.circuit)
         assert all(isinstance(c.is_xnor, bool) for c in comparators)
         assert {c.polarity for c in comparators} <= {1, -1}
-
-    def test_sat_and_sim_classifiers_agree(self):
-        locked = sfll_hd1_example()
-        sim = find_comparators(locked.circuit, use_sat=False)
-        sat = find_comparators(locked.circuit, use_sat=True)
-        assert {(c.node, c.is_xnor) for c in sim} == {
-            (c.node, c.is_xnor) for c in sat
-        }
 
     def test_no_comparators_in_unlocked_circuit(self):
         assert find_comparators(paper_example_circuit()) == []
@@ -308,9 +300,15 @@ class TestPrefilter:
         assert strip_density(4, 1) == 4 / 16
         assert strip_density(4, 5) == 0.0
 
+    @staticmethod
+    def _density(cone):
+        return truth_table(cone).bit_count() / (1 << len(cone.inputs))
+
     def test_polarity_detection_plain(self):
         cone = strip_cone(PAPER_CUBE, 0)
-        try_plain, try_complement = candidate_polarities(cone, 0)
+        try_plain, try_complement = density_polarities(
+            self._density(cone), len(cone.inputs), 0
+        )
         assert try_plain
         assert not try_complement
 
@@ -320,7 +318,9 @@ class TestPrefilter:
         negated = neg.fresh_name("neg")
         neg.add_gate(negated, GateType.NOT, [neg.outputs[0]])
         neg.replace_output(neg.outputs[0], negated)
-        try_plain, try_complement = candidate_polarities(neg, 0)
+        try_plain, try_complement = density_polarities(
+            self._density(neg), len(neg.inputs), 0
+        )
         assert not try_plain
         assert try_complement
 

@@ -10,7 +10,7 @@ from repro.attacks.double_dip import double_dip_attack
 from repro.attacks.engine import run_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
-from repro.attacks.sat_attack import sat_attack
+from repro.attacks.sat_attack import Cegis, sat_attack
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
@@ -133,8 +133,11 @@ class TestSatAttack:
         assert check_equivalence(original, unlocked).proved
 
 
-def _oracle_with_inputs(original, drop=(), extra=()):
-    """An oracle whose circuit pins ``drop`` to 0 and adds unused ``extra``."""
+def _mismatched_oracle(
+    original, drop=(), extra=(), drop_outputs=(), extra_outputs=()
+):
+    """An oracle whose circuit pins ``drop`` to 0, adds unused ``extra``
+    inputs, leaves out ``drop_outputs`` and adds ``extra_outputs``."""
     circuit = Circuit(original.name)
     for node in original.nodes:
         gate_type = original.gate_type(node)
@@ -147,7 +150,11 @@ def _oracle_with_inputs(original, drop=(), extra=()):
     for name in extra:
         circuit.add_input(name)
     for output in original.outputs:
-        circuit.add_output(output)
+        if output not in drop_outputs:
+            circuit.add_output(output)
+    for name in extra_outputs:
+        circuit.add_gate(name, GateType.NOT, [original.outputs[0]])
+        circuit.add_output(name)
     return IOOracle(circuit)
 
 
@@ -158,16 +165,38 @@ class TestOracleInputsChecked:
         "attack", ["sat", "double-dip", "appsat", "key-confirmation"]
     )
     @pytest.mark.parametrize(
-        "mismatch", [{"drop": ("x9",)}, {"extra": ("x10",)}], ids=["missing", "extra"]
+        "mismatch, message",
+        [
+            ({"drop": ("x9",)}, "oracle inputs"),
+            ({"extra": ("x10",)}, "oracle inputs"),
+            ({"drop_outputs": ("y1",)}, "oracle outputs"),
+            ({"extra_outputs": ("y2",)}, "oracle outputs"),
+        ],
+        ids=["missing", "extra", "missing-output", "extra-output"],
     )
-    def test_rejected_before_any_query(self, attack, mismatch):
+    def test_rejected_before_any_query(self, attack, mismatch, message):
         original = generate_random_circuit("io", 10, 2, 60, seed=3)
         locked = lock_ttlock(original, key_width=6, seed=3)
-        oracle = _oracle_with_inputs(original, **mismatch)
+        oracle = _mismatched_oracle(original, **mismatch)
         config = AttackConfig(candidates=(locked.reveal_correct_key(),))
-        with pytest.raises(AttackError, match="oracle inputs"):
+        with pytest.raises(AttackError, match=message):
             run_attack(attack, locked.circuit, oracle, config)
         assert oracle.query_count == 0
+
+
+class TestCegisLoadsOnce:
+    def test_staged_clauses_are_dropped_once_loaded(self):
+        # The solvers hold the only copy of each clause; the staging CNFs
+        # keep just their variable counters.
+        original = generate_random_circuit("io", 10, 2, 60, seed=3)
+        locked = lock_ttlock(original, key_width=6, seed=3)
+        oracle = IOOracle(original)
+        cegis = Cegis("sat-attack", locked.circuit, oracle, None, 0.2)
+        pattern = dict.fromkeys(locked.circuit.circuit_inputs, 1)
+        cegis.observe(pattern, oracle.query(pattern))
+        for constrained in (cegis.dips, cegis.keys):
+            assert constrained.cnf.clauses == []
+            assert constrained.cnf.num_vars == constrained.solver.num_vars
 
 
 class TestAttackResultPlumbing:

@@ -96,6 +96,48 @@ class TestIncrementalFuzz:
         assert (solver.solve() is SolveStatus.SAT) == reference_sat
 
 
+class TestBulkLoad:
+    """``add_cnf`` loads a batch exactly as one ``add_clause`` per clause."""
+
+    # Mostly 3-clauses, with the duplicates, tautologies, units and
+    # root-satisfied clauses random literals bring.
+    WIDTHS = (1,) + (2,) * 3 + (3,) * 30 + (4,) * 6
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_clause_by_clause_load(self, seed):
+        # The ConstrainedSolver pattern: one staging Cnf whose variable
+        # counter grows, loaded batch by batch and emptied after each;
+        # solves alternate between SAT, UNSAT under assumptions and UNSAT.
+        rng = random.Random(seed)
+        staged = Cnf()
+        bulk = Solver(random_phase=0.1, seed=seed)
+        single = Solver(random_phase=0.1, seed=seed)
+        for step in range(12):
+            staged.new_vars(rng.randint(3, 6) if step else 50)
+            for _ in range(rng.randint(10, 20) if step else 150):
+                width = rng.choice(self.WIDTHS) if step else 3
+                staged.add_clause(
+                    rng.choice((1, -1)) * rng.randint(1, staged.num_vars)
+                    for _ in range(width)
+                )
+            bulk.add_cnf(staged)
+            single.new_vars(staged.num_vars - single.num_vars)
+            for clause in staged.clauses:
+                single.add_clause(clause)
+            staged.clauses.clear()
+            assumed = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(
+                    range(1, staged.num_vars + 1), rng.randint(0, 6)
+                )
+            ]
+            status = bulk.solve(assumptions=assumed)
+            assert single.solve(assumptions=assumed) is status, step
+            if status is SolveStatus.SAT:
+                assert bulk.model_lits() == single.model_lits(), step
+            assert bulk.stats.as_dict() == single.stats.as_dict(), step
+
+
 class TestRandomPhase:
     def test_deterministic_for_seed(self):
         rng = random.Random(77)
